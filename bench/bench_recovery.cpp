@@ -3,14 +3,12 @@
 //
 //   * BM_QuorumRejoinVsLag — rejoin cost (simulated time + blocks
 //     replayed) as the laggard's deficit grows, snapshots off vs on
-//     (args: lag, snapshots). Off = the PR-2 behavior: replay every
-//     missed block. On = nearest checkpoint + delta.
+//     (args: lag, snapshots). Off = replay every missed block. On =
+//     trie-node transfer up to the nearest checkpoint + the blocks after.
 //   * BM_QuorumRejoinVsChainLength — the headline property: with
 //     snapshots on and the LAG held fixed, rejoin cost stays flat as the
 //     chain grows (args: chain length).
-//   * BM_SnapshotMakeVsStateSize — canonical snapshot construction cost
-//     and size against world-state size (arg: key count).
-//   * BM_QuorumRejoinUnderLoss — snapshot transfer to convergence at
+//   * BM_QuorumRejoinUnderLoss — state transfer to convergence at
 //     0-30% uniform message loss, resume loop included (arg: loss %).
 #include <benchmark/benchmark.h>
 
@@ -126,32 +124,6 @@ BENCHMARK(BM_QuorumRejoinVsChainLength)
     ->Arg(30)
     ->Arg(62)
     ->Arg(126)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SnapshotMakeVsStateSize(benchmark::State& state) {
-  const auto keys = static_cast<std::size_t>(state.range(0));
-  ledger::WorldState world;
-  for (std::size_t i = 0; i < keys; ++i) {
-    world.put("asset/" + std::to_string(i),
-              to_bytes("owner-" + std::to_string(i % 17)));
-  }
-  std::size_t snapshot_bytes = 0;
-  std::size_t chunks = 0;
-  for (auto _ : state) {
-    const ledger::Snapshot snap =
-        ledger::Snapshot::make(1, crypto::sha256(to_bytes("tip")), world);
-    benchmark::DoNotOptimize(snap.root());
-    snapshot_bytes = snap.body_size();
-    chunks = snap.chunk_count();
-  }
-  state.counters["state_keys"] = static_cast<double>(keys);
-  state.counters["snapshot_bytes"] = static_cast<double>(snapshot_bytes);
-  state.counters["chunks"] = static_cast<double>(chunks);
-}
-BENCHMARK(BM_SnapshotMakeVsStateSize)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 void BM_QuorumRejoinUnderLoss(benchmark::State& state) {

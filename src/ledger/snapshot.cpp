@@ -1,205 +1,6 @@
 #include "ledger/snapshot.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
-#include "common/serialize.hpp"
-#include "crypto/merkle.hpp"
-
 namespace veil::ledger {
-
-namespace {
-
-// Domain separator for the snapshot content address, so a snapshot root
-// can never collide with a block hash, leaf hash, or bare sha256 of the
-// state bytes.
-constexpr char kRootDomain[] = "veil.snapshot.v1";
-
-// An empty chunk vector has no Merkle tree; commit to a fixed digest of
-// the domain tag instead.
-crypto::Digest chunk_vector_root(
-    const std::vector<crypto::Digest>& chunk_hashes) {
-  if (chunk_hashes.empty()) {
-    return crypto::sha256(common::BytesView(
-        reinterpret_cast<const std::uint8_t*>(kRootDomain),
-        sizeof(kRootDomain) - 1));
-  }
-  std::vector<common::Bytes> leaves;
-  leaves.reserve(chunk_hashes.size());
-  for (const crypto::Digest& h : chunk_hashes) {
-    leaves.emplace_back(h.begin(), h.end());
-  }
-  return crypto::MerkleTree::build(leaves).root();
-}
-
-}  // namespace
-
-crypto::Digest SnapshotHeader::compute_root(
-    std::uint64_t height, const crypto::Digest& tip_hash,
-    std::uint64_t body_bytes, std::uint32_t chunk_size,
-    const std::vector<crypto::Digest>& chunk_hashes) {
-  common::Writer w;
-  w.str(kRootDomain);
-  w.u64(height);
-  w.raw(common::BytesView(tip_hash.data(), tip_hash.size()));
-  w.u64(body_bytes);
-  w.u32(chunk_size);
-  const crypto::Digest chunks_root = chunk_vector_root(chunk_hashes);
-  w.raw(common::BytesView(chunks_root.data(), chunks_root.size()));
-  return crypto::sha256(w.data());
-}
-
-bool SnapshotHeader::self_consistent() const {
-  if (chunk_size == 0 && body_bytes != 0) return false;
-  // The chunk count must be exactly what the geometry dictates: no
-  // phantom trailing chunks, no missing coverage.
-  const std::uint64_t expected_chunks =
-      body_bytes == 0 ? 0 : (body_bytes + chunk_size - 1) / chunk_size;
-  if (chunk_hashes.size() != expected_chunks) return false;
-  return root ==
-         compute_root(height, tip_hash, body_bytes, chunk_size, chunk_hashes);
-}
-
-common::Bytes SnapshotHeader::encode() const {
-  common::Writer w;
-  w.u64(height);
-  w.raw(common::BytesView(tip_hash.data(), tip_hash.size()));
-  w.u64(body_bytes);
-  w.u32(chunk_size);
-  w.varint(chunk_hashes.size());
-  for (const crypto::Digest& h : chunk_hashes) {
-    w.raw(common::BytesView(h.data(), h.size()));
-  }
-  w.raw(common::BytesView(root.data(), root.size()));
-  return w.take();
-}
-
-SnapshotHeader SnapshotHeader::decode(common::BytesView data) {
-  common::Reader r(data);
-  SnapshotHeader h;
-  h.height = r.u64();
-  common::Bytes tip = r.raw(crypto::kSha256DigestSize);
-  std::copy(tip.begin(), tip.end(), h.tip_hash.begin());
-  h.body_bytes = r.u64();
-  h.chunk_size = r.u32();
-  const std::uint64_t count = r.varint();
-  // Bound the announced count by what the buffer can actually hold, so a
-  // forged varint cannot force a giant allocation before the read fails.
-  if (count > r.remaining() / crypto::kSha256DigestSize) {
-    throw common::ProtocolError("snapshot header chunk count overruns buffer");
-  }
-  h.chunk_hashes.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    common::Bytes ch = r.raw(crypto::kSha256DigestSize);
-    crypto::Digest d{};
-    std::copy(ch.begin(), ch.end(), d.begin());
-    h.chunk_hashes.push_back(d);
-  }
-  common::Bytes rt = r.raw(crypto::kSha256DigestSize);
-  std::copy(rt.begin(), rt.end(), h.root.begin());
-  if (!r.done()) {
-    throw common::ProtocolError("trailing bytes after snapshot header");
-  }
-  return h;
-}
-
-Snapshot Snapshot::make(std::uint64_t height, const crypto::Digest& tip_hash,
-                        const WorldState& state, std::uint32_t chunk_size) {
-  if (chunk_size == 0) {
-    throw common::ProtocolError("snapshot chunk size must be positive");
-  }
-  Snapshot s;
-  s.body_ = state.encode();
-  s.header_.height = height;
-  s.header_.tip_hash = tip_hash;
-  s.header_.body_bytes = s.body_.size();
-  s.header_.chunk_size = chunk_size;
-  for (std::size_t off = 0; off < s.body_.size(); off += chunk_size) {
-    const std::size_t len = std::min<std::size_t>(chunk_size,
-                                                  s.body_.size() - off);
-    s.header_.chunk_hashes.push_back(
-        crypto::sha256(common::BytesView(s.body_.data() + off, len)));
-  }
-  s.header_.root = SnapshotHeader::compute_root(
-      s.header_.height, s.header_.tip_hash, s.header_.body_bytes,
-      s.header_.chunk_size, s.header_.chunk_hashes);
-  return s;
-}
-
-common::Bytes Snapshot::chunk(std::size_t index) const {
-  if (index >= header_.chunk_count()) {
-    throw common::ProtocolError("snapshot chunk index out of range");
-  }
-  const std::size_t off = index * header_.chunk_size;
-  const std::size_t len =
-      std::min<std::size_t>(header_.chunk_size, body_.size() - off);
-  return common::Bytes(body_.begin() + static_cast<std::ptrdiff_t>(off),
-                       body_.begin() + static_cast<std::ptrdiff_t>(off + len));
-}
-
-bool Snapshot::verify_chunk(const SnapshotHeader& header, std::size_t index,
-                            common::BytesView data) {
-  if (index >= header.chunk_count()) return false;
-  const bool last = index + 1 == header.chunk_count();
-  const std::size_t expect_len =
-      last ? header.body_bytes - index * std::uint64_t{header.chunk_size}
-           : header.chunk_size;
-  if (data.size() != expect_len) return false;
-  return crypto::sha256(data) == header.chunk_hashes[index];
-}
-
-std::optional<WorldState> Snapshot::assemble(
-    const SnapshotHeader& header, const std::vector<common::Bytes>& chunks) {
-  if (chunks.size() != header.chunk_count()) return std::nullopt;
-  common::Bytes body;
-  body.reserve(header.body_bytes);
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    if (!verify_chunk(header, i, chunks[i])) return std::nullopt;
-    body.insert(body.end(), chunks[i].begin(), chunks[i].end());
-  }
-  if (body.size() != header.body_bytes) return std::nullopt;
-  try {
-    return WorldState::decode(body);
-  } catch (const common::Error&) {
-    // All chunks hashed correctly but the body does not decode: the
-    // header itself committed to garbage. Fail closed.
-    return std::nullopt;
-  }
-}
-
-common::Bytes Snapshot::encode() const {
-  common::Writer w;
-  w.bytes(header_.encode());
-  w.bytes(body_);
-  return w.take();
-}
-
-Snapshot Snapshot::decode(common::BytesView data) {
-  common::Reader r(data);
-  Snapshot s;
-  s.header_ = SnapshotHeader::decode(r.bytes());
-  s.body_ = r.bytes();
-  if (!r.done()) {
-    throw common::ProtocolError("trailing bytes after snapshot");
-  }
-  if (!s.header_.self_consistent() ||
-      s.body_.size() != s.header_.body_bytes) {
-    throw common::ProtocolError("snapshot header does not match body");
-  }
-  for (std::size_t i = 0; i < s.header_.chunk_count(); ++i) {
-    if (!verify_chunk(s.header_, i, s.chunk(i))) {
-      throw common::ProtocolError("snapshot body fails chunk verification");
-    }
-  }
-  return s;
-}
-
-Snapshot Snapshot::forge(SnapshotHeader header, common::Bytes body) {
-  Snapshot s;
-  s.header_ = std::move(header);
-  s.body_ = std::move(body);
-  return s;
-}
 
 bool SnapshotStore::maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
                                      const crypto::Digest& tip_hash,
@@ -215,8 +16,7 @@ bool SnapshotStore::maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
 void SnapshotStore::checkpoint(WriteAheadLog& wal, std::uint64_t height,
                                const crypto::Digest& tip_hash,
                                const WorldState& state, common::BytesView aux) {
-  latest_ = Snapshot::make(height, tip_hash, state, config_.chunk_size);
-  latest_state_ = state;  // O(1): shared trie
+  restore(height, tip_hash, state);
   const common::Bytes record =
       wal_encode_checkpoint(height, tip_hash, state, aux);
   if (config_.compact_wal) {
@@ -230,8 +30,7 @@ void SnapshotStore::checkpoint(WriteAheadLog& wal, std::uint64_t height,
 void SnapshotStore::restore(std::uint64_t height,
                             const crypto::Digest& tip_hash,
                             const WorldState& state) {
-  latest_ = Snapshot::make(height, tip_hash, state, config_.chunk_size);
-  latest_state_ = state;  // O(1): shared trie
+  latest_ = Checkpoint{height, tip_hash, state};  // O(1): shared trie
 }
 
 }  // namespace veil::ledger

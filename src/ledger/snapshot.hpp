@@ -1,24 +1,17 @@
-// Verified state snapshots: canonical, content-addressed, chunked.
+// Checkpoints: the compaction point of a replica's WAL and the state it
+// serves to rejoining peers.
 //
-// A snapshot freezes a replica's committed state (WorldState + chain
-// head) into a canonical byte string, content-addressed by a Merkle root
-// over fixed-size chunks. The root is the whole trust story: a joiner
-// that has authenticated the root (against a quorum of peer digests, or
-// its own sealed delivery log) can accept chunks from ANY donor —
-// including a Byzantine one — because each chunk verifies independently
-// against the chunk-hash vector committed under the root. Tampering is
-// detected per chunk; an equivocated header fails root verification
-// before a single chunk is fetched.
-//
-// Snapshots are also what the SnapshotStore seals into the WAL as
-// compaction checkpoints (ledger/wal.hpp): the durable checkpoint record
-// and the wire snapshot are the same canonical bytes, so "what I'd serve
-// a joiner" and "what I'd replay after a crash" can never diverge.
+// Every `interval` blocks a replica seals its committed state (chain
+// head + WorldState) into its WAL as a checkpoint record and compacts
+// the prefix behind it (ledger/wal.hpp). The same checkpoint stays
+// resident as an O(1) copy-on-write trie handle: that is what the
+// state-transfer engine (ledger/triesync.hpp) offers, votes on, and
+// serves content-addressed nodes from. "What I'd serve a joiner" and
+// "what I'd replay after a crash" are the same (height, tip, state).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
@@ -27,109 +20,28 @@
 
 namespace veil::ledger {
 
-/// Wire header of a snapshot: everything a joiner needs to verify chunks
-/// before it has any of them. Decode-fuzzed; malformed headers throw
-/// common::Error and are dropped by the transfer engine.
-struct SnapshotHeader {
-  std::uint64_t height = 0;
-  crypto::Digest tip_hash{};
-  std::uint64_t body_bytes = 0;  // canonical body length
-  std::uint32_t chunk_size = 0;  // every chunk but the last is this long
-  std::vector<crypto::Digest> chunk_hashes;
-  crypto::Digest root{};  // content address (see compute_root)
-
-  std::size_t chunk_count() const { return chunk_hashes.size(); }
-
-  /// Recompute the content address from the announced fields.
-  static crypto::Digest compute_root(
-      std::uint64_t height, const crypto::Digest& tip_hash,
-      std::uint64_t body_bytes, std::uint32_t chunk_size,
-      const std::vector<crypto::Digest>& chunk_hashes);
-
-  /// True iff the announced root matches the announced fields and the
-  /// chunk geometry is coherent (count x size covers body_bytes). A
-  /// self-consistent header can still lie about the STATE — that is what
-  /// quorum root verification is for — but it cannot lie about which
-  /// chunks belong to it.
-  bool self_consistent() const;
-
-  common::Bytes encode() const;
-  static SnapshotHeader decode(common::BytesView data);
-};
-
-/// A materialized snapshot: header + canonical body. Built by donors and
-/// the SnapshotStore; reassembled chunk-by-chunk by joiners.
-class Snapshot {
- public:
-  static constexpr std::uint32_t kDefaultChunkSize = 1024;
-
-  /// Snapshot the given state at the given chain head. Canonical: two
-  /// replicas with bit-identical state produce bit-identical snapshots
-  /// and therefore equal roots.
-  static Snapshot make(std::uint64_t height, const crypto::Digest& tip_hash,
-                       const WorldState& state,
-                       std::uint32_t chunk_size = kDefaultChunkSize);
-
-  const SnapshotHeader& header() const { return header_; }
-  std::uint64_t height() const { return header_.height; }
-  const crypto::Digest& root() const { return header_.root; }
-  std::size_t chunk_count() const { return header_.chunk_count(); }
-  std::size_t body_size() const { return body_.size(); }
-  common::BytesView body() const { return body_; }
-
-  /// Chunk payload by index (throws common::Error if out of range).
-  common::Bytes chunk(std::size_t index) const;
-
-  /// Verify one received chunk against the header's commitment: right
-  /// length for its position, and hash equal to chunk_hashes[index].
-  static bool verify_chunk(const SnapshotHeader& header, std::size_t index,
-                           common::BytesView data);
-
-  /// Reassemble a body from per-index chunks (all previously accepted by
-  /// verify_chunk) and decode the WorldState. Returns nullopt if any
-  /// chunk is missing or the assembly fails verification.
-  static std::optional<WorldState> assemble(
-      const SnapshotHeader& header,
-      const std::vector<common::Bytes>& chunks);
-
-  /// Decode this snapshot's own body.
-  WorldState state() const { return WorldState::decode(body_); }
-
-  /// Full codec (WAL sealing, tests). Decode re-verifies the header
-  /// against the body and throws on mismatch — a sealed snapshot cannot
-  /// be tampered without detection.
-  common::Bytes encode() const;
-  static Snapshot decode(common::BytesView data);
-
-  /// Attack/test hook: pair an arbitrary header with an arbitrary body,
-  /// skipping consistency checks. This is how Byzantine donor fixtures
-  /// serve tampered chunks under an honest-looking header.
-  static Snapshot forge(SnapshotHeader header, common::Bytes body);
-
- private:
-  Snapshot() = default;
-
-  SnapshotHeader header_;
-  common::Bytes body_;  // canonical WorldState encoding
-};
-
-// ---- Checkpoint policy ----------------------------------------------------
-
 struct SnapshotConfig {
   /// Take a checkpoint every `interval` blocks; 0 disables checkpointing
-  /// (the PR-2 behavior: WAL grows without bound, rejoin replays all).
+  /// (the WAL grows without bound and rejoin replays every missed block).
   std::uint64_t interval = 0;
-  std::uint32_t chunk_size = Snapshot::kDefaultChunkSize;
   /// Compact the WAL behind each checkpoint (fsync-ordered; see
   /// WriteAheadLog::compact). Off = checkpoint records only.
   bool compact_wal = true;
 };
 
-/// Per-replica checkpoint driver: owns the policy, keeps the latest
-/// snapshot resident so the replica can serve state transfer without
-/// re-serializing, and seals each checkpoint into the replica's WAL.
+/// Per-replica checkpoint keeper: owns the policy, seals each checkpoint
+/// into the replica's WAL, and keeps the latest one resident so the
+/// replica can serve state transfer without re-serializing.
 class SnapshotStore {
  public:
+  /// The resident checkpoint. `state` is an O(1) copy-on-write handle
+  /// onto the state as of `height`.
+  struct Checkpoint {
+    std::uint64_t height = 0;
+    crypto::Digest tip_hash{};
+    WorldState state;
+  };
+
   explicit SnapshotStore(SnapshotConfig config = {}) : config_(config) {}
 
   const SnapshotConfig& config() const { return config_; }
@@ -137,8 +49,8 @@ class SnapshotStore {
 
   /// Call after every committed block. Takes a checkpoint when `height`
   /// lands on the interval; returns true if one was taken. `aux` rides
-  /// the WAL checkpoint record but not the wire snapshot (platform-
-  /// private sidecar, e.g. Quorum private state).
+  /// the WAL checkpoint record only (platform-private sidecar, e.g.
+  /// Quorum private state) — it is never served to peers.
   bool maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
                         const crypto::Digest& tip_hash,
                         const WorldState& state, common::BytesView aux = {});
@@ -148,30 +60,20 @@ class SnapshotStore {
                   const crypto::Digest& tip_hash, const WorldState& state,
                   common::BytesView aux = {});
 
-  /// Rebuild the resident snapshot after a restart (from the WAL's
+  /// Re-arm the resident checkpoint after a restart (from the WAL's
   /// recovered checkpoint) without touching the WAL.
   void restore(std::uint64_t height, const crypto::Digest& tip_hash,
                const WorldState& state);
 
-  /// Latest checkpoint snapshot, if any was taken since construction or
-  /// restore. This is what the transfer engine offers donors' peers.
-  const Snapshot* latest() const {
-    return latest_ ? &*latest_ : nullptr;
-  }
-
-  /// The checkpoint state itself, kept resident. With the trie-backed
-  /// WorldState this is an O(1) copy-on-write handle onto the state as
-  /// of the checkpoint — delta sync (ledger/triesync.hpp) serves
-  /// content-addressed trie nodes straight from it, no re-encoding.
-  /// Meaningful only when latest() != nullptr.
-  const WorldState& latest_state() const { return latest_state_; }
+  /// Latest checkpoint, if any was taken since construction or restore.
+  /// This is what the transfer engine offers peers.
+  const Checkpoint* latest() const { return latest_ ? &*latest_ : nullptr; }
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
 
  private:
   SnapshotConfig config_;
-  std::optional<Snapshot> latest_;
-  WorldState latest_state_;
+  std::optional<Checkpoint> latest_;
   std::uint64_t checkpoints_taken_ = 0;
 };
 

@@ -28,6 +28,42 @@ crypto::Digest read_digest(common::Reader& r) {
   return d;
 }
 
+void write_digests(common::Writer& w, const std::vector<crypto::Digest>& ds) {
+  w.varint(ds.size());
+  for (const crypto::Digest& d : ds) write_digest(w, d);
+}
+
+std::vector<crypto::Digest> read_digests(common::Reader& r, const char* what) {
+  const std::uint64_t count = r.varint();
+  if (count > r.remaining() / crypto::kSha256DigestSize) {
+    throw common::ProtocolError(std::string(what) + " count overruns buffer");
+  }
+  std::vector<crypto::Digest> ds;
+  ds.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) ds.push_back(read_digest(r));
+  return ds;
+}
+
+void write_nodes(common::Writer& w, const std::vector<common::Bytes>& nodes) {
+  w.varint(nodes.size());
+  for (const common::Bytes& n : nodes) w.bytes(n);
+}
+
+std::vector<common::Bytes> read_nodes(common::Reader& r, const char* what) {
+  const std::uint64_t count = r.varint();
+  if (count > r.remaining()) {
+    throw common::ProtocolError(std::string(what) + " count overruns buffer");
+  }
+  std::vector<common::Bytes> nodes;
+  nodes.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) nodes.push_back(r.bytes());
+  return nodes;
+}
+
+bool contains(const std::vector<crypto::Digest>& ds, const crypto::Digest& d) {
+  return std::find(ds.begin(), ds.end(), d) != ds.end();
+}
+
 void require_done(const common::Reader& r, const char* what) {
   if (!r.done()) {
     throw common::ProtocolError(std::string("trailing bytes after ") + what);
@@ -38,6 +74,24 @@ void require_done(const common::Reader& r, const char* what) {
 
 // ---- Wire codecs ----------------------------------------------------------
 
+common::Bytes TrieSyncRequest::encode() const {
+  common::Writer w;
+  w.str(scope);
+  w.u64(min_height);
+  write_digests(w, have);
+  return w.take();
+}
+
+TrieSyncRequest TrieSyncRequest::decode(common::BytesView data) {
+  common::Reader r(data);
+  TrieSyncRequest req;
+  req.scope = r.str();
+  req.min_height = r.u64();
+  req.have = read_digests(r, "triesync request");
+  require_done(r, "triesync request");
+  return req;
+}
+
 common::Bytes TrieSyncOffer::encode() const {
   common::Writer w;
   w.str(scope);
@@ -46,6 +100,7 @@ common::Bytes TrieSyncOffer::encode() const {
     w.u64(height);
     write_digest(w, tip_hash);
     write_digest(w, state_root);
+    write_nodes(w, nodes);
   }
   return w.take();
 }
@@ -59,6 +114,7 @@ TrieSyncOffer TrieSyncOffer::decode(common::BytesView data) {
     offer.height = r.u64();
     offer.tip_hash = read_digest(r);
     offer.state_root = read_digest(r);
+    offer.nodes = read_nodes(r, "triesync offer");
   }
   require_done(r, "triesync offer");
   return offer;
@@ -68,8 +124,7 @@ common::Bytes NodeRequest::encode() const {
   common::Writer w;
   w.str(scope);
   write_digest(w, state_root);
-  w.varint(wanted.size());
-  for (const crypto::Digest& h : wanted) write_digest(w, h);
+  write_digests(w, wanted);
   return w.take();
 }
 
@@ -78,12 +133,7 @@ NodeRequest NodeRequest::decode(common::BytesView data) {
   NodeRequest req;
   req.scope = r.str();
   req.state_root = read_digest(r);
-  const std::uint64_t count = r.varint();
-  if (count > r.remaining() / crypto::kSha256DigestSize) {
-    throw common::ProtocolError("node request count overruns buffer");
-  }
-  req.wanted.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) req.wanted.push_back(read_digest(r));
+  req.wanted = read_digests(r, "node request");
   require_done(r, "node request");
   return req;
 }
@@ -93,8 +143,7 @@ common::Bytes NodeBatch::encode() const {
   w.str(scope);
   write_digest(w, state_root);
   w.boolean(ok);
-  w.varint(nodes.size());
-  for (const common::Bytes& n : nodes) w.bytes(n);
+  write_nodes(w, nodes);
   return w.take();
 }
 
@@ -104,14 +153,53 @@ NodeBatch NodeBatch::decode(common::BytesView data) {
   batch.scope = r.str();
   batch.state_root = read_digest(r);
   batch.ok = r.boolean();
-  const std::uint64_t count = r.varint();
-  if (count > r.remaining()) {
-    throw common::ProtocolError("node batch count overruns buffer");
-  }
-  batch.nodes.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) batch.nodes.push_back(r.bytes());
+  batch.nodes = read_nodes(r, "node batch");
   require_done(r, "node batch");
   return batch;
+}
+
+common::Bytes RootVote::encode() const {
+  common::Writer w;
+  w.str(scope);
+  w.u64(height);
+  w.boolean(known);
+  write_digest(w, root);
+  return w.take();
+}
+
+RootVote RootVote::decode(common::BytesView data) {
+  common::Reader r(data);
+  RootVote vote;
+  vote.scope = r.str();
+  vote.height = r.u64();
+  vote.known = r.boolean();
+  vote.root = read_digest(r);
+  require_done(r, "root vote");
+  return vote;
+}
+
+// ---- Reject taxonomy ------------------------------------------------------
+
+const char* to_string(TransferReject reason) {
+  switch (reason) {
+    case TransferReject::MalformedOffer:
+      return "malformed offer";
+    case TransferReject::OfferCheckFailed:
+      return "offer contradicts delivery log";
+    case TransferReject::EquivocatedRoot:
+      return "equivocated root";
+    case TransferReject::TamperedNode:
+      return "tampered trie node";
+    case TransferReject::InconsistentBody:
+      return "inconsistent body";
+    case TransferReject::DonorGone:
+      return "donor gone";
+  }
+  return "unknown";
+}
+
+bool is_misbehavior(TransferReject reason) {
+  return reason != TransferReject::DonorGone;
 }
 
 // ---- Engine ---------------------------------------------------------------
@@ -140,10 +228,19 @@ void TrieSync::fetch(const net::Principal& self, const std::string& scope,
   // Index every node the joiner already holds: the dedup set during
   // discovery, and the reuse set during the final graft.
   t.prior = prior.trie().build_node_index();
+  if (!prior.empty()) {
+    t.have.push_back(prior.digest());
+    for (const TrieChild& child : t.prior.at(prior.digest())->children) {
+      t.have.push_back(child.hash);
+    }
+  }
   auto [it, inserted] =
       transfers_.insert_or_assign(Key{self, scope}, std::move(t));
   (void)inserted;
+  // Ask for the offer and the votes in the same round: a vote is the
+  // voter's own latest checkpoint, which does not depend on the offer.
   send_request(self, it->second);
+  send_vote_requests(self, it->second);
 }
 
 void TrieSync::resume(const net::Principal& self, const std::string& scope) {
@@ -154,6 +251,7 @@ void TrieSync::resume(const net::Principal& self, const std::string& scope) {
   switch (t.phase) {
     case Phase::WaitOffer:
       send_request(self, t);
+      send_vote_requests(self, t);
       break;
     case Phase::WaitVotes:
       send_vote_requests(self, t);
@@ -198,6 +296,18 @@ void TrieSync::handle(const net::Principal& self, const net::Message& msg) {
 
 // ---- Donor side -----------------------------------------------------------
 
+namespace {
+
+/// A node as this donor ships it: verbatim, or with a flipped byte for
+/// a scripted tampering adversary.
+common::Bytes served(const TrieSync::DonorState& ds, const common::Bytes& node) {
+  common::Bytes out = node;
+  if (ds.tamper_nodes) out[out.size() / 2] ^= 0x01;
+  return out;
+}
+
+}  // namespace
+
 const NodeStore& TrieSync::serve_store(const Key& key,
                                        const WorldState& state) {
   const crypto::Digest root = state.digest();
@@ -211,35 +321,45 @@ const NodeStore& TrieSync::serve_store(const Key& key,
 }
 
 void TrieSync::on_request(const net::Principal& self, const net::Message& msg) {
-  const SnapshotRequest req = SnapshotRequest::decode(msg.payload);
+  const TrieSyncRequest req = TrieSyncRequest::decode(msg.payload);
   TrieSyncOffer offer;
   offer.scope = req.scope;
-  const auto ds = callbacks_.provider
-                      ? callbacks_.provider(self, req.scope, req.min_height)
-                      : std::nullopt;
+  const auto ds = callbacks_.provider ? callbacks_.provider(self, req.scope)
+                                      : std::nullopt;
   if (ds.has_value() && ds->state != nullptr && ds->height >= req.min_height) {
     offer.available = true;
     offer.height = ds->height;
     offer.tip_hash = ds->tip_hash;
     offer.state_root = ds->state->digest();
+    if (offer.state_root != StateTrie::empty_root() &&
+        !contains(req.have, offer.state_root)) {
+      const NodeStore& store = serve_store(Key{self, req.scope}, *ds->state);
+      const common::Bytes& root = store.at(offer.state_root);
+      offer.nodes.push_back(served(*ds, root));
+      for (const auto& [nibble, child] : StateTrie::decode_node(root).children) {
+        (void)nibble;
+        if (!contains(req.have, child)) {
+          offer.nodes.push_back(served(*ds, store.at(child)));
+        }
+      }
+    }
   }
   channel_->send(self, msg.from, kTopicOffer, offer.encode());
 }
 
 void TrieSync::on_vote_request(const net::Principal& self,
                                const net::Message& msg) {
-  const SnapshotRequest req = SnapshotRequest::decode(msg.payload);
+  const TrieSyncRequest req = TrieSyncRequest::decode(msg.payload);
   RootVote vote;
   vote.scope = req.scope;
-  vote.height = req.min_height;
-  // A voter vouches only for a height it checkpointed itself — replicas
-  // checkpoint on the same deterministic schedule, so live honest peers
-  // always can.
-  const auto ds =
-      callbacks_.provider ? callbacks_.provider(self, req.scope, 0)
-                          : std::nullopt;
-  if (ds.has_value() && ds->state != nullptr && ds->height == req.min_height) {
+  // A voter vouches only for its own latest checkpoint; the joiner counts
+  // it for an offer at the same height. Replicas checkpoint on the same
+  // deterministic schedule, so live honest peers agree on both.
+  const auto ds = callbacks_.provider ? callbacks_.provider(self, req.scope)
+                                      : std::nullopt;
+  if (ds.has_value() && ds->state != nullptr) {
     vote.known = true;
+    vote.height = ds->height;
     vote.root = ds->state->digest();
   }
   channel_->send(self, msg.from, kTopicVote, vote.encode());
@@ -250,9 +370,8 @@ void TrieSync::on_fetch(const net::Principal& self, const net::Message& msg) {
   NodeBatch batch;
   batch.scope = req.scope;
   batch.state_root = req.state_root;
-  const auto ds =
-      callbacks_.provider ? callbacks_.provider(self, req.scope, 0)
-                          : std::nullopt;
+  const auto ds = callbacks_.provider ? callbacks_.provider(self, req.scope)
+                                      : std::nullopt;
   if (ds.has_value() && ds->state != nullptr &&
       ds->state->digest() == req.state_root) {
     const NodeStore& store = serve_store(Key{self, req.scope}, *ds->state);
@@ -262,7 +381,7 @@ void TrieSync::on_fetch(const net::Principal& self, const net::Message& msg) {
       // An honest donor holds every node under its own root; a hash it
       // lacks is simply skipped (the joiner's resume re-asks, and a
       // donor that keeps skipping starves out and fails over benignly).
-      if (it != store.end()) batch.nodes.push_back(it->second);
+      if (it != store.end()) batch.nodes.push_back(served(*ds, it->second));
     }
   }
   channel_->send(self, msg.from, kTopicNodes, batch.encode());
@@ -272,18 +391,19 @@ void TrieSync::on_fetch(const net::Principal& self, const net::Message& msg) {
 
 void TrieSync::send_request(const net::Principal& self, Transfer& t) {
   t.phase = Phase::WaitOffer;
-  SnapshotRequest req;
+  TrieSyncRequest req;
   req.scope = t.scope;
   req.min_height = t.min_height;
+  req.have = t.have;
   channel_->send(self, t.donors.front(), kTopicRequest, req.encode());
   ++stats_.requests_sent;
 }
 
-void TrieSync::send_vote_requests(const net::Principal& self, Transfer& t) {
-  t.phase = Phase::WaitVotes;
-  SnapshotRequest req;
+void TrieSync::send_vote_requests(const net::Principal& self,
+                                  const Transfer& t) {
+  TrieSyncRequest req;
   req.scope = t.scope;
-  req.min_height = t.height;
+  req.min_height = t.min_height;
   for (const net::Principal& voter : t.voters) {
     if (t.votes.contains(voter)) continue;
     channel_->send(self, voter, kTopicVoteRequest, req.encode());
@@ -318,7 +438,6 @@ void TrieSync::on_offer(const net::Principal& self, const net::Message& msg) {
   // still good (content-addressed); a different root restarts discovery.
   if (t.state_root != offer.state_root) {
     t.fresh.clear();
-    t.fresh_bytes = 0;
     t.outstanding.clear();
     t.pending.clear();
   }
@@ -326,12 +445,17 @@ void TrieSync::on_offer(const net::Principal& self, const net::Message& msg) {
   t.tip_hash = offer.tip_hash;
   t.state_root = offer.state_root;
   t.offer_bytes = common::Bytes(msg.payload.begin(), msg.payload.end());
-  t.votes.clear();
-  if (t.voters.empty()) {
-    start_fetch(self, t);
-  } else {
-    send_vote_requests(self, t);
+  // Discovery starts at the root, unless the joiner already holds it (or
+  // the state is empty). The top nodes riding the offer are verified
+  // like any fetched node; whatever the offer lacks is fetched.
+  if (t.state_root != StateTrie::empty_root() &&
+      !t.prior.contains(t.state_root) && !t.fresh.contains(t.state_root) &&
+      !contains(t.pending, t.state_root)) {
+    t.pending.push_back(t.state_root);
   }
+  if (!accept_nodes(self, key, offer.nodes, {})) return;
+  t.phase = Phase::WaitVotes;
+  evaluate_votes(self, key);
 }
 
 void TrieSync::on_vote(const net::Principal& self, const net::Message& msg) {
@@ -340,14 +464,15 @@ void TrieSync::on_vote(const net::Principal& self, const net::Message& msg) {
   auto it = transfers_.find(key);
   if (it == transfers_.end()) return;
   Transfer& t = it->second;
-  if (t.phase != Phase::WaitVotes || vote.height != t.height) return;
+  if (t.phase == Phase::Fetch) return;  // root already confirmed
   if (std::find(t.voters.begin(), t.voters.end(), msg.from) ==
       t.voters.end()) {
     return;  // not a voter we asked
   }
   t.votes[msg.from] = vote;
   ++stats_.votes_received;
-  evaluate_votes(self, key);
+  // Votes that beat the offer wait for it.
+  if (t.phase == Phase::WaitVotes) evaluate_votes(self, key);
 }
 
 void TrieSync::evaluate_votes(const net::Principal& self, const Key& key) {
@@ -356,7 +481,7 @@ void TrieSync::evaluate_votes(const net::Principal& self, const Key& key) {
   std::size_t disagree = 0;
   common::Bytes disagree_proof;
   for (const auto& [voter, vote] : t.votes) {
-    if (!vote.known) continue;
+    if (!vote.known || vote.height != t.height) continue;  // abstains
     if (vote.root == t.state_root) {
       ++agree;
     } else {
@@ -366,7 +491,7 @@ void TrieSync::evaluate_votes(const net::Principal& self, const Key& key) {
   }
   const std::size_t n = t.voters.size();
   // Majority confirms: the root every honest replica computed.
-  if (agree * 2 > n) {
+  if (n == 0 || agree * 2 > n) {
     start_fetch(self, t);
     return;
   }
@@ -391,13 +516,8 @@ void TrieSync::evaluate_votes(const net::Principal& self, const Key& key) {
 
 void TrieSync::start_fetch(const net::Principal& self, Transfer& t) {
   t.phase = Phase::Fetch;
-  // Seed the frontier with the root — unless the joiner already holds
-  // it (or the state is empty), in which case there is nothing to ship.
-  if (t.state_root != StateTrie::empty_root() &&
-      !t.prior.contains(t.state_root) && !t.fresh.contains(t.state_root) &&
-      !t.outstanding.contains(t.state_root)) {
-    t.pending.push_back(t.state_root);
-  }
+  // The frontier below the offered root node (empty when the joiner
+  // already holds the root, or the state is empty: nothing to ship).
   request_pending(self, t);
   if (t.outstanding.empty() && t.pending.empty()) {
     finish(self, Key{self, t.scope});
@@ -441,35 +561,50 @@ void TrieSync::on_nodes(const net::Principal& self, const net::Message& msg) {
       batch.state_root != t.state_root) {
     return;  // stale batch from a previous donor or superseded root
   }
-  ++stats_.batches_received;
+  ++stats_.chunks_received;
   if (!batch.ok) {
     drop_donor(self, key, TransferReject::DonorGone, {}, {});
     return;
   }
-  for (const common::Bytes& bytes : batch.nodes) {
+  if (!accept_nodes(self, key, batch.nodes, msg.payload)) return;
+  request_pending(self, t);
+  if (t.outstanding.empty() && t.pending.empty()) finish(self, key);
+}
+
+bool TrieSync::accept_nodes(const net::Principal& self, const Key& key,
+                            const std::vector<common::Bytes>& nodes,
+                            common::BytesView proof) {
+  Transfer& t = transfers_.at(key);
+  for (const common::Bytes& bytes : nodes) {
     const crypto::Digest h = StateTrie::hash_node(bytes);
-    if (!t.outstanding.contains(h)) {
-      if (t.fresh.contains(h)) continue;  // duplicate delivery: benign
-      // Bytes that hash to nothing we asked for: the donor is feeding
-      // us garbage (a tampered node can never match its content hash).
-      ++stats_.nodes_rejected;
-      drop_donor(self, key, TransferReject::TamperedNode, t.offer_bytes,
-                 msg.payload);
-      return;
+    if (t.fresh.contains(h)) continue;  // duplicate delivery: benign
+    // Needed = asked for, or discovered but not yet asked for (the top
+    // nodes an offer carries unasked).
+    auto pending = t.pending.end();
+    bool ok = t.outstanding.contains(h);
+    if (!ok) {
+      pending = std::find(t.pending.begin(), t.pending.end(), h);
+      ok = pending != t.pending.end();
     }
     TrieNodeWire wire;
-    try {
-      wire = StateTrie::decode_node(bytes);
-    } catch (const common::Error&) {
-      // Hash matches a node we asked for, bytes will not decode: the
-      // donor committed to garbage under its own root.
+    if (ok) {
+      try {
+        wire = StateTrie::decode_node(bytes);
+      } catch (const common::Error&) {
+        ok = false;  // hashes right, will not decode: committed garbage
+      }
+    }
+    if (!ok) {
+      // Bytes that hash to nothing we need (a tampered node can never
+      // match its content hash), or a node the donor committed to under
+      // its own root that will not decode.
       ++stats_.nodes_rejected;
       drop_donor(self, key, TransferReject::TamperedNode, t.offer_bytes,
-                 msg.payload);
-      return;
+                 proof);
+      return false;
     }
     t.outstanding.erase(h);
-    t.fresh_bytes += bytes.size();
+    if (pending != t.pending.end()) t.pending.erase(pending);
     ++stats_.nodes_received;
     stats_.node_bytes_received += bytes.size();
     t.fresh.emplace(h, bytes);
@@ -482,8 +617,7 @@ void TrieSync::on_nodes(const net::Principal& self, const net::Message& msg) {
       t.pending.push_back(child);
     }
   }
-  request_pending(self, t);
-  if (t.outstanding.empty() && t.pending.empty()) finish(self, key);
+  return true;
 }
 
 void TrieSync::finish(const net::Principal& self, const Key& key) {
@@ -498,10 +632,6 @@ void TrieSync::finish(const net::Principal& self, const Key& key) {
     drop_donor(self, key, TransferReject::InconsistentBody, t.offer_bytes, {});
     return;
   }
-  Report report;
-  report.fresh_nodes = t.fresh.size();
-  report.fresh_bytes = t.fresh_bytes;
-  report.prior_nodes = t.prior.size();
   const std::uint64_t height = t.height;
   const crypto::Digest tip = t.tip_hash;
   const std::string scope = t.scope;
@@ -509,7 +639,7 @@ void TrieSync::finish(const net::Principal& self, const Key& key) {
   ++stats_.transfers_completed;
   if (callbacks_.on_complete) {
     callbacks_.on_complete(self, scope, height, tip,
-                           WorldState::from_trie(std::move(trie)), report);
+                           WorldState::from_trie(std::move(trie)));
   }
 }
 
@@ -528,17 +658,22 @@ void TrieSync::drop_donor(const net::Principal& self, const Key& key,
   if (it == transfers_.end()) return;
   Transfer& tt = it->second;
   tt.donors.erase(tt.donors.begin());
-  tt.votes.clear();
+  // Votes describe the voters' own checkpoints, not the dropped donor's
+  // offer: they stay valid for the next donor.
   // Requests in flight to the dropped donor will never be answered (or
   // will be ignored as stale); move them back to pending for the next
   // donor.
   for (const crypto::Digest& h : tt.outstanding) tt.pending.push_back(h);
   tt.outstanding.clear();
   if (is_misbehavior(reason)) {
-    // A donor dropped for proven misbehavior loses its vote too (the
-    // platform just quarantined it; see SnapshotTransfer::drop_donor).
+    // A donor dropped for proven misbehavior loses its vote too: the
+    // platform just quarantined it, so counting it toward the quorum
+    // denominator would stall every subsequent vote round (it can never
+    // answer), and counting its past answers would let it poison the
+    // next donor's verification.
     std::erase(tt.voters, donor);
     std::erase(tt.donors, donor);
+    tt.votes.erase(donor);
   }
   if (tt.donors.empty()) {
     transfers_.erase(it);

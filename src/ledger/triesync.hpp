@@ -1,17 +1,18 @@
-// Trie-node delta state transfer: rejoin by fetching only what changed.
+// Trie-node state transfer: the one rejoin protocol.
 //
-// The chunked SnapshotTransfer (transfer.hpp) ships the whole canonical
-// state body, so a replica that lagged by one block pays O(state) bytes
-// to rejoin. With the trie-backed WorldState the state IS a set of
+// A replica that fell behind (crash, long partition, quarantine release)
+// fetches the nearest peer checkpoint instead of replaying the whole
+// chain. With the trie-backed WorldState the state IS a set of
 // content-addressed nodes, and a lagging replica already holds almost
-// all of them — everything off the paths the missed blocks touched.
-// This engine ships exactly the complement:
+// all of them — everything off the paths the missed blocks touched. The
+// protocol is pull-based and donor-stateless, and ships exactly the
+// complement:
 //
 //   joiner                         donor                voters
-//     |-- tsync.req -------------->|                      |
-//     |<-- tsync.offer (height, tip, state root) ---------|
-//     |-- tsync.vote-req ------------------------------>  |
-//     |<-- tsync.vote (my state root at that height) -----|
+//     |-- tsync.req (top of my trie) ->|                  |
+//     |-- tsync.vote-req (same round) ----------------->  |
+//     |<-- tsync.offer (height, tip, root, top nodes) ----|
+//     |<-- tsync.vote (my latest checkpoint height, root)-|
 //     |-- tsync.fetch (node hashes I lack) -->| (breadth-first)
 //     |<-- tsync.nodes (encoded nodes) -------|
 //     |   ... discover children, dedup against own trie,  |
@@ -31,6 +32,10 @@
 //    cannot smuggle state into the reused portion either — the root
 //    recomputes from verified hashes all the way down.
 //
+// The engine raises platform callbacks instead of touching audit/
+// quarantine itself (the ledger layer does not link audit): the platform
+// emits signed Evidence and quarantines the donor in on_reject.
+//
 // Cost: bytes transferred ~ O(nodes changed since the joiner's state),
 // i.e. O(touched keys × depth), independent of total account count.
 #pragma once
@@ -47,22 +52,38 @@
 #include "common/bytes.hpp"
 #include "ledger/state.hpp"
 #include "ledger/state_trie.hpp"
-#include "ledger/transfer.hpp"
 #include "net/reliable.hpp"
 
 namespace veil::ledger {
 
 // ---- Wire types (all decode-fuzzed) ---------------------------------------
 
+/// tsync.req: ask a donor for its latest checkpoint at or above
+/// min_height. Also sent on tsync.vote-req (with `have` empty), which a
+/// voter answers with its own latest checkpoint.
+struct TrieSyncRequest {
+  std::string scope;  // platform-defined (Fabric channel, "quorum", ...)
+  std::uint64_t min_height = 0;
+  /// The top of the joiner's trie — its root and the root's children —
+  /// so the offer can skip the top nodes the joiner already holds.
+  std::vector<crypto::Digest> have;
+
+  common::Bytes encode() const;
+  static TrieSyncRequest decode(common::BytesView data);
+};
+
 /// tsync.offer: the donor's checkpoint coordinates, or a refusal. The
-/// state root plays the role SnapshotHeader played for chunked transfer:
-/// it is the content address everything else verifies against.
+/// state root is the content address everything else verifies against.
+/// The top two levels of the donor's trie ride along — the root node,
+/// then the root's children — minus the nodes the request's `have`
+/// lists, so node discovery starts two round trips early.
 struct TrieSyncOffer {
   std::string scope;
   bool available = false;
-  std::uint64_t height = 0;     // meaningful only when available
-  crypto::Digest tip_hash{};    // "
-  crypto::Digest state_root{};  // "
+  std::uint64_t height = 0;          // meaningful only when available
+  crypto::Digest tip_hash{};         // "
+  crypto::Digest state_root{};       // "
+  std::vector<common::Bytes> nodes;  // "
 
   common::Bytes encode() const;
   static TrieSyncOffer decode(common::BytesView data);
@@ -90,13 +111,40 @@ struct NodeBatch {
   static NodeBatch decode(common::BytesView data);
 };
 
+/// tsync.vote: the voter's own latest checkpoint height and state root
+/// (known=false when it has no checkpoint).
+struct RootVote {
+  std::string scope;
+  std::uint64_t height = 0;
+  bool known = false;
+  crypto::Digest root{};
+
+  common::Bytes encode() const;
+  static RootVote decode(common::BytesView data);
+};
+
 // ---- Engine ---------------------------------------------------------------
+
+/// Why a joiner gave up on a donor.
+enum class TransferReject {
+  MalformedOffer,    // offered height below the requested minimum
+  OfferCheckFailed,  // height/tip contradicts the sealed delivery log
+  EquivocatedRoot,   // quorum of peers disavows the offered root
+  TamperedNode,      // a shipped node is not one needed / will not decode
+  InconsistentBody,  // all nodes verified but the graft cannot close
+  DonorGone,         // donor refused / lost the root (benign, no evidence)
+};
+
+const char* to_string(TransferReject reason);
+/// True when the reason proves misbehavior (platforms emit Evidence and
+/// quarantine); false for benign failover.
+bool is_misbehavior(TransferReject reason);
 
 struct TrieSyncStats {
   std::uint64_t requests_sent = 0;
   std::uint64_t offers_received = 0;
   std::uint64_t votes_received = 0;
-  std::uint64_t batches_received = 0;
+  std::uint64_t chunks_received = 0;  // tsync.nodes replies accepted
   std::uint64_t nodes_received = 0;
   std::uint64_t node_bytes_received = 0;
   std::uint64_t nodes_rejected = 0;
@@ -109,14 +157,6 @@ struct TrieSyncStats {
 
 class TrieSync {
  public:
-  /// What a completed transfer cost — the delta-vs-full story the bench
-  /// and tests assert on.
-  struct Report {
-    std::uint64_t fresh_nodes = 0;  // nodes actually shipped
-    std::uint64_t fresh_bytes = 0;  // their encoded size
-    std::uint64_t prior_nodes = 0;  // joiner-side nodes available to reuse
-  };
-
   /// Donor/voter side: the replica's current checkpoint state and its
   /// coordinates (nullopt = nothing to offer). The WorldState pointer
   /// must stay valid for the duration of the callback's message round
@@ -125,10 +165,12 @@ class TrieSync {
     const WorldState* state = nullptr;
     std::uint64_t height = 0;
     crypto::Digest tip_hash{};
+    /// Scripted adversary (Byzantine-donor fixtures): ship every node
+    /// with one byte flipped, so none hashes to what the joiner needs.
+    bool tamper_nodes = false;
   };
   using Provider = std::function<std::optional<DonorState>(
-      const net::Principal& self, const std::string& scope,
-      std::uint64_t min_height)>;
+      const net::Principal& self, const std::string& scope)>;
   /// Optional joiner-side pre-filter: check the offered height/tip
   /// against platform truth (sealed delivery log). Return false to
   /// reject the offer as OfferCheckFailed.
@@ -139,13 +181,16 @@ class TrieSync {
   /// Joiner: verified state ready to install.
   using Complete = std::function<void(
       const net::Principal& self, const std::string& scope,
-      std::uint64_t height, const crypto::Digest& tip_hash, WorldState state,
-      const Report& report)>;
-  /// Same contract as SnapshotTransfer::Reject (shared taxonomy).
+      std::uint64_t height, const crypto::Digest& tip_hash,
+      WorldState state)>;
+  /// Joiner gave up on `donor`. proof_a/proof_b are the two halves of
+  /// the misbehavior proof (the offer + contradicting bytes); empty for
+  /// benign reasons (is_misbehavior(reason) == false).
   using Reject = std::function<void(
       const net::Principal& self, const std::string& scope,
       const net::Principal& donor, TransferReject reason,
       common::BytesView proof_a, common::BytesView proof_b)>;
+  /// All donors exhausted; the platform falls back to full replay.
   using Fail = std::function<void(const net::Principal& self,
                                   const std::string& scope)>;
 
@@ -202,17 +247,17 @@ class TrieSync {
     std::vector<net::Principal> voters;
     std::uint64_t min_height = 0;
     Phase phase = Phase::WaitOffer;
+    std::vector<crypto::Digest> have;  // top of the prior trie (request)
     // Accepted offer.
     std::uint64_t height = 0;
     crypto::Digest tip_hash{};
     crypto::Digest state_root{};
     common::Bytes offer_bytes;  // proof half for convictions
-    std::map<net::Principal, RootVote> votes;
+    std::map<net::Principal, RootVote> votes;  // survive donor failover
     // Joiner-side reuse set: every node of the prior trie, by hash.
     StateTrie::NodeIndex prior;
     // Verified fresh nodes (content-addressed: survive donor failover).
     NodeStore fresh;
-    std::uint64_t fresh_bytes = 0;
     std::unordered_set<crypto::Digest, DigestHash> outstanding;  // requested
     std::vector<crypto::Digest> pending;  // discovered, not yet requested
   };
@@ -227,8 +272,15 @@ class TrieSync {
   void on_nodes(const net::Principal& self, const net::Message& msg);
 
   void send_request(const net::Principal& self, Transfer& t);
-  void send_vote_requests(const net::Principal& self, Transfer& t);
+  void send_vote_requests(const net::Principal& self, const Transfer& t);
   void start_fetch(const net::Principal& self, Transfer& t);
+  /// Verify and record shipped nodes, queueing the children the joiner
+  /// lacks. Every node must hash to one the joiner still needs (asked
+  /// for or discovered) and decode; otherwise the donor is dropped for
+  /// TamperedNode with `proof` and false is returned.
+  bool accept_nodes(const net::Principal& self, const Key& key,
+                    const std::vector<common::Bytes>& nodes,
+                    common::BytesView proof);
   /// Move pending hashes into outstanding and request them in batches.
   void request_pending(const net::Principal& self, Transfer& t);
   /// Re-request everything outstanding (resume path).

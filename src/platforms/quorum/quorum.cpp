@@ -36,24 +36,26 @@ QuorumNetwork::QuorumNetwork(net::Transport& network,
       block_size_(block_size),
       channel_(network),
       snapshot_config_(snapshots),
-      transfer_(channel_,
-                ledger::SnapshotTransfer::Callbacks{
+      triesync_(channel_,
+                ledger::TrieSync::Callbacks{
                     .provider =
                         [this](const net::Principal& self,
-                               const std::string& scope,
-                               std::uint64_t min_height) {
-                          return provide_snapshot(self, scope, min_height);
+                               const std::string& scope) {
+                          return provide_checkpoint(self, scope);
                         },
                     .offer_check =
                         [this](const net::Principal&, const std::string&,
-                               const ledger::SnapshotHeader& header) {
-                          return check_offer(header);
+                               std::uint64_t height,
+                               const crypto::Digest& tip_hash) {
+                          return check_offer(height, tip_hash);
                         },
                     .on_complete =
                         [this](const net::Principal& self, const std::string&,
-                               const ledger::SnapshotHeader& header,
+                               std::uint64_t height,
+                               const crypto::Digest& tip_hash,
                                ledger::WorldState state) {
-                          install_snapshot(self, header, std::move(state));
+                          install_checkpoint(self, height, tip_hash,
+                                             std::move(state));
                         },
                     .on_reject =
                         [this](const net::Principal& self, const std::string&,
@@ -548,8 +550,8 @@ std::vector<char> QuorumNetwork::block_signatures_valid(
 
 void QuorumNetwork::on_node_message(const std::string& self,
                                     const net::Message& msg) {
-  if (ledger::SnapshotTransfer::owns_topic(msg.topic)) {
-    transfer_.handle(self, msg);
+  if (ledger::TrieSync::owns_topic(msg.topic)) {
+    triesync_.handle(self, msg);
     return;
   }
   if (msg.topic == "quorum.tm-push") {
@@ -742,12 +744,12 @@ void QuorumNetwork::on_node_crash(const std::string& org) {
   mempool_.clear();
   Node& node = nodes_.at(org);
   // Volatile replica state is gone; the WAL and the transaction-manager
-  // store (a separate durable process) survive. An in-progress snapshot
-  // transfer is volatile too — received chunks die with the node.
+  // store (a separate durable process) survive. An in-progress state
+  // transfer is volatile too — received nodes die with the node.
   node.chain = ledger::Chain();
   node.public_state = ledger::WorldState();
   node.private_state = ledger::WorldState();
-  transfer_.abort(org, "quorum");
+  triesync_.abort(org, "quorum");
 }
 
 void QuorumNetwork::on_node_restart(const std::string& org) {
@@ -787,17 +789,20 @@ void QuorumNetwork::rejoin(const std::string& org,
     voters.push_back(peer);
   }
   if (donors.empty()) donors = voters;
-  transfer_.fetch(org, "quorum", std::move(donors), std::move(voters),
-                  node.chain.height() + 1);
+  // The node's own public state is the dedup set: only nodes it lacks
+  // move. Private state never leaves a node; catch_up_private rebuilds
+  // it from the local transaction manager on install.
+  triesync_.fetch(org, "quorum", std::move(donors), std::move(voters),
+                  node.chain.height() + 1, node.public_state);
   network_->run();
   // A transfer still active after the network drained stalled on message
   // loss (retries exhausted) — leave it resumable instead of replaying
   // everything it was about to save us. A FAILED transfer (donor list
-  // exhausted) is gone from the engine, so the delta loop below becomes
+  // exhausted) is gone from the engine, so the replay loop below becomes
   // the full-replay fallback.
-  if (transfer_.active(org, "quorum")) return;
+  if (triesync_.active(org, "quorum")) return;
   // Whatever the transfer achieved — a checkpoint install, or nothing
-  // because no peer held a newer checkpoint — close the remaining delta
+  // because no peer held a newer checkpoint — close the remaining gap
   // from the delivery log.
   while (!network_->crashed(org) &&
          node.chain.height() < ordered_log_.size()) {
@@ -806,9 +811,9 @@ void QuorumNetwork::rejoin(const std::string& org,
 }
 
 void QuorumNetwork::resume_rejoin(const std::string& org) {
-  transfer_.resume(org, "quorum");
+  triesync_.resume(org, "quorum");
   network_->run();
-  if (transfer_.active(org, "quorum")) return;  // still stalled: resumable
+  if (triesync_.active(org, "quorum")) return;  // still stalled: resumable
   Node& node = nodes_.at(org);
   while (!network_->crashed(org) &&
          node.chain.height() < ordered_log_.size()) {
@@ -821,62 +826,63 @@ void QuorumNetwork::set_byzantine_snapshot_offerer(const std::string& org,
   byz_offerers_.insert_or_assign(org, attack);
 }
 
-const ledger::Snapshot* QuorumNetwork::provide_snapshot(
-    const std::string& self, const std::string& scope, std::uint64_t) {
-  if (scope != "quorum") return nullptr;
+std::optional<ledger::TrieSync::DonorState> QuorumNetwork::provide_checkpoint(
+    const std::string& self, const std::string& scope) {
+  if (scope != "quorum") return std::nullopt;
   const auto it = nodes_.find(self);
-  if (it == nodes_.end()) return nullptr;
-  const ledger::Snapshot* honest = it->second.snapshots.latest();
+  if (it == nodes_.end()) return std::nullopt;
+  const ledger::SnapshotStore::Checkpoint* cp = it->second.snapshots.latest();
+  if (cp == nullptr) return std::nullopt;
+  ledger::TrieSync::DonorState ds{&cp->state, cp->height, cp->tip_hash};
+
   const auto attack = byz_offerers_.find(self);
-  if (attack == byz_offerers_.end() || honest == nullptr) return honest;
+  if (attack == byz_offerers_.end()) return ds;
+  // Scripted adversary.
   switch (attack->second) {
-    case SnapshotAttack::TamperChunk: {
-      // Honest header, one flipped body byte: every announced hash is
-      // genuine, so exactly the damaged chunk fails verification.
-      common::Bytes body(honest->body().begin(), honest->body().end());
-      if (!body.empty()) body[body.size() / 2] ^= 0x01;
-      forged_.insert_or_assign(
-          self, ledger::Snapshot::forge(honest->header(), std::move(body)));
+    case SnapshotAttack::TamperNode:
+      // Honest coordinates and votes, but every node it ships has a
+      // flipped byte: none hashes to a node the joiner needs.
+      ds.tamper_nodes = true;
       break;
-    }
     case SnapshotAttack::EquivocateRoot: {
-      // A fully self-consistent snapshot of a state no honest replica
-      // ever held: chunks all verify against ITS root, but the quorum of
+      // Offer (and serve nodes for) a state no honest replica ever
+      // held: every node verifies against ITS root, but the quorum of
       // peer checkpoints disavows that root.
-      ledger::WorldState tampered = honest->state();
+      ledger::WorldState tampered = cp->state;
       tampered.put("asset/forged/owner", common::to_bytes(self));
-      forged_.insert_or_assign(
-          self,
-          ledger::Snapshot::make(honest->height(), honest->header().tip_hash,
-                                 tampered, honest->header().chunk_size));
+      ds.state =
+          &forged_states_.insert_or_assign(self, std::move(tampered))
+               .first->second;
       break;
     }
   }
-  return &forged_.at(self);
+  return ds;
 }
 
-bool QuorumNetwork::check_offer(const ledger::SnapshotHeader& header) const {
+bool QuorumNetwork::check_offer(std::uint64_t height,
+                                const crypto::Digest& tip_hash) const {
   // The shared delivery log is the sealing authority: the announced
   // height must exist and the announced tip must be the sealed header
   // hash at that height.
-  if (header.height == 0 || header.height > ordered_log_.size()) return false;
-  return ordered_log_[header.height - 1].header.hash() == header.tip_hash;
+  if (height == 0 || height > ordered_log_.size()) return false;
+  return ordered_log_[height - 1].header.hash() == tip_hash;
 }
 
-void QuorumNetwork::install_snapshot(const std::string& org,
-                                     const ledger::SnapshotHeader& header,
-                                     ledger::WorldState state) {
+void QuorumNetwork::install_checkpoint(const std::string& org,
+                                       std::uint64_t height,
+                                       const crypto::Digest& tip_hash,
+                                       ledger::WorldState state) {
   Node& node = nodes_.at(org);
   const std::uint64_t from_height = node.chain.height();
-  if (header.height <= from_height) return;  // stale completion
-  node.chain = ledger::Chain::from_checkpoint(header.height, header.tip_hash);
+  if (height <= from_height) return;  // stale completion
+  node.chain = ledger::Chain::from_checkpoint(height, tip_hash);
   node.public_state = std::move(state);
-  catch_up_private(org, from_height, header.height);
+  catch_up_private(org, from_height, height);
   // Seal the installed checkpoint into our own WAL (compacting whatever
   // preceded it) so a crash right after rejoin recovers from here, and
   // this node can donate the checkpoint onward.
-  node.snapshots.checkpoint(node.wal, header.height, header.tip_hash,
-                            node.public_state, node.private_state.encode());
+  node.snapshots.checkpoint(node.wal, height, tip_hash, node.public_state,
+                            node.private_state.encode());
 }
 
 void QuorumNetwork::on_transfer_reject(const std::string& self,
@@ -892,7 +898,7 @@ void QuorumNetwork::on_transfer_reject(const std::string& self,
                : audit::Misbehavior::SnapshotTampering;
   e.accused = donor;
   e.reporter = self;
-  e.detail = std::string("snapshot transfer: ") + ledger::to_string(reason);
+  e.detail = std::string("state transfer: ") + ledger::to_string(reason);
   e.detected_at = network_->clock().now();
   e.proof_a = common::Bytes(proof_a.begin(), proof_a.end());
   e.proof_b = common::Bytes(proof_b.begin(), proof_b.end());

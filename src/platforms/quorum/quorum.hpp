@@ -30,7 +30,7 @@
 #include "ledger/mempool.hpp"
 #include "ledger/snapshot.hpp"
 #include "ledger/state.hpp"
-#include "ledger/transfer.hpp"
+#include "ledger/triesync.hpp"
 #include "ledger/wal.hpp"
 #include "net/network.hpp"
 #include "net/overload.hpp"
@@ -169,25 +169,26 @@ class QuorumNetwork {
 
   // ---- Recovery tier (docs/fault_model.md "Recovery tier") -----------------
 
-  /// Snapshot rejoin for one lagging live node: fetch the nearest peer
-  /// checkpoint over the wire (verified chunk-by-chunk against the root,
-  /// root confirmed by a quorum of live peers), install it, replay only
-  /// the post-checkpoint delta from the delivery log. When no peer has a
-  /// checkpoint beyond this node's height the transfer fails over to
-  /// plain delta replay — rejoin() is always safe to call. `donors`
-  /// overrides the candidate order (tests put the Byzantine offerer
-  /// first); default is every live, unquarantined peer.
+  /// Rejoin for one lagging live node: bring its public state up to the
+  /// nearest peer checkpoint over the wire, fetching only the trie nodes
+  /// it lacks (ledger/triesync.hpp; every node hash-verified, the root
+  /// confirmed by a quorum of live peers and the delivery log), then
+  /// replay only the post-checkpoint blocks from the delivery log. When
+  /// no peer has a checkpoint beyond this node's height the transfer
+  /// fails over to plain replay — rejoin() is always safe to call.
+  /// `donors` overrides the candidate order (tests put the Byzantine
+  /// offerer first); default is every live, unquarantined peer.
   void rejoin(const std::string& org, std::vector<std::string> donors = {});
 
   /// Re-drive a rejoin stalled by message loss beyond the reliable
-  /// channel's retry budget (resumes from the verified chunk cursor).
+  /// channel's retry budget (verified nodes are kept).
   void resume_rejoin(const std::string& org);
 
   /// Scripted snapshot adversary: when `org` is asked to donate a
   /// checkpoint it serves a forgery instead.
   enum class SnapshotAttack {
-    TamperChunk,     // honest header, one flipped byte in the body
-    EquivocateRoot,  // self-consistent header over a tampered state
+    TamperNode,      // honest root, one flipped byte in every served node
+    EquivocateRoot,  // consistent nodes under a tampered state's root
   };
   void set_byzantine_snapshot_offerer(const std::string& org,
                                       SnapshotAttack attack);
@@ -195,8 +196,8 @@ class QuorumNetwork {
   std::uint64_t blocks_applied(const std::string& org) const;
   const ledger::SnapshotStore& snapshot_store(const std::string& org) const;
   const ledger::WriteAheadLog& node_wal(const std::string& org) const;
-  const ledger::TransferStats& transfer_stats() const {
-    return transfer_.stats();
+  const ledger::TrieSyncStats& transfer_stats() const {
+    return triesync_.stats();
   }
   std::uint64_t sealed_height() const { return ordered_log_.size(); }
 
@@ -266,13 +267,12 @@ class QuorumNetwork {
   void on_node_restart(const std::string& org);
 
   // Transfer-engine callbacks (recovery tier).
-  const ledger::Snapshot* provide_snapshot(const std::string& self,
-                                           const std::string& scope,
-                                           std::uint64_t min_height);
-  bool check_offer(const ledger::SnapshotHeader& header) const;
-  void install_snapshot(const std::string& org,
-                        const ledger::SnapshotHeader& header,
-                        ledger::WorldState state);
+  std::optional<ledger::TrieSync::DonorState> provide_checkpoint(
+      const std::string& self, const std::string& scope);
+  bool check_offer(std::uint64_t height, const crypto::Digest& tip_hash) const;
+  void install_checkpoint(const std::string& org, std::uint64_t height,
+                          const crypto::Digest& tip_hash,
+                          ledger::WorldState state);
   void on_transfer_reject(const std::string& self, const std::string& donor,
                           ledger::TransferReject reason,
                           common::BytesView proof_a,
@@ -288,12 +288,12 @@ class QuorumNetwork {
   std::size_t block_size_;
   net::ReliableChannel channel_;
   ledger::SnapshotConfig snapshot_config_;
-  ledger::SnapshotTransfer transfer_;
+  ledger::TrieSync triesync_;
   std::map<std::string, Node> nodes_;
   std::map<std::string, SnapshotAttack> byz_offerers_;
-  /// Forged snapshots served by scripted adversaries (provider returns a
-  /// stable pointer, so the forgery must outlive the callback).
-  std::map<std::string, ledger::Snapshot> forged_;
+  /// Forged states served by EquivocateRoot adversaries — the engine
+  /// holds the provider's pointer across the serve rounds.
+  std::map<std::string, ledger::WorldState> forged_states_;
   std::vector<ledger::Transaction> pending_;
   /// Every sealed block in order — the delivery log nodes seek into when
   /// they missed deliveries (and the restart catch-up source).

@@ -348,7 +348,7 @@ TEST_F(QuorumChaosTest, CrashedNodeRecoversFromWalAndConverges) {
 // Randomized chaos: the CI cron job drives this with VEIL_CHAOS_SEED.
 // ---------------------------------------------------------------------------
 
-TEST(RandomizedChaos, CrashMidSnapshotTransferResumesAndConverges) {
+TEST(RandomizedChaos, CrashMidStateTransferResumesAndConverges) {
   std::uint64_t seed = 4242;
   if (const char* env = std::getenv("VEIL_CHAOS_SEED")) {
     seed = std::strtoull(env, nullptr, 10);
@@ -383,10 +383,10 @@ TEST(RandomizedChaos, CrashMidSnapshotTransferResumesAndConverges) {
   advance(8 + driver.next_below(8));
   net.release("NodeC");
 
-  // Stall the snapshot transfer mid-flight with total loss, then crash a
+  // Stall the state transfer mid-flight with total loss, then crash a
   // random DONOR mid-transfer and bring it back: its WAL (including the
-  // sealed checkpoint) must make it servable again, and the joiner's
-  // verified-chunk cursor must survive the donor outage.
+  // sealed checkpoint) must make it servable again, and the nodes the
+  // joiner already verified must survive the donor outage.
   net.set_drop_probability(1.0);
   quorum.rejoin("NodeC");
   const char* victim = driver.next_below(2) == 0 ? "NodeA" : "NodeB";

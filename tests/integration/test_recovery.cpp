@@ -1,13 +1,14 @@
-// Recovery tier: verified checkpoints, WAL compaction, and snapshot
+// Recovery tier: verified checkpoints, WAL compaction, and trie-node
 // state transfer for replica rejoin (docs/fault_model.md).
 //
 // The scenarios below exercise the full rejoin path on each platform: a
-// replica that fell behind (quarantine, crash, partition) fetches the
-// nearest checkpoint from a peer over the wire — chunks verified against
-// the offered root, the root confirmed by a quorum of peer checkpoints
-// and the platform's sealed delivery log — installs it, and replays only
-// the post-checkpoint delta. Byzantine offerers are convicted with
-// signed evidence, quarantined, and failed over.
+// replica that fell behind (quarantine, crash, partition) brings its
+// state up to the nearest peer checkpoint over the wire — only the trie
+// nodes it lacks move, each hash-verified on arrival, the root confirmed
+// by a quorum of peer checkpoints and the platform's sealed delivery
+// log — installs it, and replays only the post-checkpoint blocks.
+// Byzantine offerers are convicted with signed evidence, quarantined,
+// and failed over.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -157,7 +158,7 @@ TEST_F(QuorumRecoveryTest, RejoinUnderLossResumesFromChunkCursor) {
   net_.set_drop_probability(0.20);
   quorum_.rejoin("NodeC");
   // Message loss past the retry budget stalls the transfer; each resume
-  // re-requests only what is still missing (verified chunks are kept).
+  // re-requests only what is still missing (verified nodes are kept).
   for (int round = 0;
        round < 50 && quorum_.public_chain("NodeC").height() <
                          quorum_.sealed_height();
@@ -178,11 +179,11 @@ TEST_F(QuorumRecoveryTest, TamperingOffererConvictedAndFailedOver) {
   advance(8);
   net_.release("NodeC");
 
-  // NodeB serves an honest-looking header over a tampered body: the
-  // damaged chunk fails verification against the root, which convicts
-  // NodeB with signed evidence and fails the transfer over to NodeA.
-  quorum_.set_byzantine_snapshot_offerer("NodeB",
-                                         quorum::QuorumNetwork::SnapshotAttack::TamperChunk);
+  // NodeB offers the honest root, then serves nodes with a flipped byte:
+  // the first one fails hash verification, which convicts NodeB with
+  // signed evidence and fails the transfer over to NodeA.
+  quorum_.set_byzantine_snapshot_offerer(
+      "NodeB", quorum::QuorumNetwork::SnapshotAttack::TamperNode);
   quorum_.rejoin("NodeC", {"NodeB", "NodeA"});
 
   ASSERT_GE(quorum_.evidence().count(), 1u);
@@ -192,7 +193,7 @@ TEST_F(QuorumRecoveryTest, TamperingOffererConvictedAndFailedOver) {
   EXPECT_EQ(e.reporter, "NodeC");
   EXPECT_TRUE(quorum_.evidence().convicted("NodeB"));
   EXPECT_TRUE(net_.is_quarantined("NodeB"));
-  EXPECT_GE(quorum_.transfer_stats().chunks_rejected, 1u);
+  EXPECT_GE(quorum_.transfer_stats().nodes_rejected, 1u);
   EXPECT_EQ(quorum_.transfer_stats().donors_rejected, 1u);
 
   // The fallback donor completed the rejoin bit-identically.
@@ -210,10 +211,9 @@ TEST_F(QuorumRecoveryTest, EquivocatingOffererConvictedByPeerQuorum) {
   advance(8);
   net_.release("NodeC");
 
-  // NodeB offers a fully self-consistent snapshot of a state no honest
-  // replica ever held. Every chunk would verify against ITS root — only
-  // the quorum of peer checkpoint roots exposes the lie, before a single
-  // chunk is fetched.
+  // NodeB offers a state no honest replica ever held. Every node would
+  // verify against ITS root — only the quorum of peer checkpoint roots
+  // exposes the lie, before a single node is fetched from it.
   quorum_.set_byzantine_snapshot_offerer(
       "NodeB", quorum::QuorumNetwork::SnapshotAttack::EquivocateRoot);
   quorum_.rejoin("NodeC", {"NodeB", "NodeA"});
@@ -223,8 +223,8 @@ TEST_F(QuorumRecoveryTest, EquivocatingOffererConvictedByPeerQuorum) {
   EXPECT_EQ(e.kind, audit::Misbehavior::SnapshotEquivocation);
   EXPECT_EQ(e.accused, "NodeB");
   EXPECT_TRUE(net_.is_quarantined("NodeB"));
-  // Rejected during verification: zero chunks of the forgery moved.
-  EXPECT_EQ(quorum_.transfer_stats().chunks_rejected, 0u);
+  // Rejected during verification: zero nodes of the forgery moved.
+  EXPECT_EQ(quorum_.transfer_stats().nodes_rejected, 0u);
 
   EXPECT_EQ(quorum_.transfer_stats().transfers_completed, 1u);
   EXPECT_EQ(quorum_.public_state("NodeC").digest(),
@@ -240,7 +240,7 @@ TEST_F(QuorumRecoveryTest, CrashMidTransferAbortsAndRejoinsCleanly) {
   net_.release("NodeC");
 
   // Stall the transfer mid-flight (total loss), then crash the joiner:
-  // received chunks are volatile and must not survive.
+  // received nodes are volatile and must not survive.
   net_.set_drop_probability(1.0);
   quorum_.rejoin("NodeC");
   net_.set_drop_probability(0.0);
@@ -309,8 +309,8 @@ TEST_F(FabricRecoveryTest, IntervalCheckpointsBoundPeerWals) {
   }
   // Deterministic replicas checkpoint identical roots — the property the
   // rejoin vote quorum rests on.
-  EXPECT_EQ(fab_.snapshot_store("ch", "OrgA").latest()->root(),
-            fab_.snapshot_store("ch", "OrgB").latest()->root());
+  EXPECT_EQ(fab_.snapshot_store("ch", "OrgA").latest()->state.digest(),
+            fab_.snapshot_store("ch", "OrgB").latest()->state.digest());
 }
 
 TEST_F(FabricRecoveryTest, RejoinViaSnapshotReplaysOnlyDelta) {
@@ -385,17 +385,19 @@ TEST_F(FabricRecoveryTest, TamperingOffererChunkRejectedCursorResumed) {
   advance(8);
   net_.release("peer.OrgC");
 
+  // OrgB offers the honest root, then serves nodes with a flipped byte.
   fab_.set_byzantine_snapshot_offerer(
-      "OrgB", fabric::FabricNetwork::SnapshotAttack::TamperChunk);
+      "OrgB", fabric::FabricNetwork::SnapshotAttack::TamperNode);
   fab_.rejoin("ch", "OrgC", {"OrgB", "OrgA"});
 
   ASSERT_GE(fab_.evidence().count(), 1u);
   EXPECT_EQ(fab_.evidence().entries().front().kind,
             audit::Misbehavior::SnapshotTampering);
   EXPECT_TRUE(net_.is_quarantined("peer.OrgB"));
-  EXPECT_GE(fab_.transfer_stats().chunks_rejected, 1u);
-  // Same root from the honest donor: the verified chunks fetched from
-  // the Byzantine one are KEPT — only the damaged ones re-fetch.
+  EXPECT_EQ(fab_.evidence().entries().front().accused, "OrgB");
+  EXPECT_GE(fab_.transfer_stats().nodes_rejected, 1u);
+  // Same root from the honest donor: nodes already verified are KEPT
+  // (content-addressed) — only the missing ones are fetched again.
   EXPECT_EQ(fab_.transfer_stats().transfers_completed, 1u);
   EXPECT_EQ(fab_.state("ch", "OrgC").digest(),
             fab_.state("ch", "OrgA").digest());
@@ -413,7 +415,7 @@ TEST_F(FabricRecoveryTest, CrashedPeerRecoversFromCompactedWalNotGenesis) {
   EXPECT_EQ(fab_.peer_wal("ch", "OrgB").record_count(), 1u + 1u);
   // The restored peer can immediately donate its checkpoint again.
   ASSERT_NE(fab_.snapshot_store("ch", "OrgB").latest(), nullptr);
-  EXPECT_EQ(fab_.snapshot_store("ch", "OrgB").latest()->height(), 8u);
+  EXPECT_EQ(fab_.snapshot_store("ch", "OrgB").latest()->height, 8u);
 }
 
 // ---------------------------------------------------------------------------

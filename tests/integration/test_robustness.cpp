@@ -12,9 +12,9 @@
 #include "ledger/admission.hpp"
 #include "ledger/block.hpp"
 #include "ledger/mempool.hpp"
-#include "ledger/snapshot.hpp"
 #include "ledger/state.hpp"
-#include "ledger/transfer.hpp"
+#include "ledger/state_trie.hpp"
+#include "ledger/triesync.hpp"
 #include "net/fault.hpp"
 #include "net/overload.hpp"
 #include "net/reliable.hpp"
@@ -256,43 +256,49 @@ TEST_P(DecodeFuzz, BitFlippedByzantineTierEncodings) {
 }
 
 TEST_P(DecodeFuzz, BitFlippedRecoveryTierEncodings) {
-  // Wire formats the recovery tier added: snapshot transfer messages and
-  // sealed snapshots. A joiner decodes all of them from peers it does
-  // not yet trust, so every one must reject hostile bytes cleanly.
+  // Wire formats of the recovery tier: state-transfer messages and the
+  // trie nodes they carry. A joiner decodes all of them from peers it
+  // does not yet trust, so every one must reject hostile bytes cleanly.
   common::Rng rng(GetParam() ^ 0x5eed);
 
   ledger::WorldState state;
   for (int i = 0; i < 12; ++i) {
     state.put("k/" + std::to_string(i), rng.next_bytes(24));
   }
-  const ledger::Snapshot snap = ledger::Snapshot::make(
-      7, crypto::sha256(rng.next_bytes(16)), state, /*chunk_size=*/64);
+  const crypto::Digest root = state.digest();
+  ledger::NodeStore image;
+  state.trie().collect_nodes(image);
+  ledger::NodeBatch batch{
+      .scope = "ch", .state_root = root, .ok = true, .nodes = {}};
+  for (const auto& [hash, bytes] : image) {
+    (void)hash;
+    batch.nodes.push_back(bytes);
+  }
 
   const std::vector<Bytes> encodings = {
-      ledger::SnapshotRequest{.scope = "ch", .min_height = 9}.encode(),
-      ledger::SnapshotOffer{.scope = "ch", .available = true,
-                            .header = snap.header()}
+      ledger::TrieSyncRequest{.scope = "ch", .min_height = 9, .have = {root}}
           .encode(),
-      ledger::ChunkRequest{.scope = "ch", .root = snap.root(), .index = 2}
+      ledger::TrieSyncOffer{.scope = "ch", .available = true, .height = 7,
+                            .tip_hash = crypto::sha256(rng.next_bytes(16)),
+                            .state_root = root, .nodes = {image.at(root)}}
           .encode(),
-      ledger::SnapshotChunk{.scope = "ch", .root = snap.root(), .index = 2,
-                            .ok = true, .data = snap.chunk(2)}
+      ledger::NodeRequest{.scope = "ch", .state_root = root,
+                          .wanted = {root, crypto::sha256(rng.next_bytes(8))}}
           .encode(),
+      batch.encode(),
       ledger::RootVote{.scope = "ch", .height = 7, .known = true,
-                       .root = snap.root()}
+                       .root = root}
           .encode(),
-      snap.header().encode(),
-      snap.encode(),
+      image.at(root),
   };
   const auto decoders = [](const Bytes& d, std::size_t which) {
     switch (which) {
-      case 0: ledger::SnapshotRequest::decode(d); break;
-      case 1: ledger::SnapshotOffer::decode(d); break;
-      case 2: ledger::ChunkRequest::decode(d); break;
-      case 3: ledger::SnapshotChunk::decode(d); break;
+      case 0: ledger::TrieSyncRequest::decode(d); break;
+      case 1: ledger::TrieSyncOffer::decode(d); break;
+      case 2: ledger::NodeRequest::decode(d); break;
+      case 3: ledger::NodeBatch::decode(d); break;
       case 4: ledger::RootVote::decode(d); break;
-      case 5: ledger::SnapshotHeader::decode(d); break;
-      default: ledger::Snapshot::decode(d); break;
+      default: ledger::StateTrie::decode_node(d); break;
     }
   };
 
@@ -311,18 +317,20 @@ TEST_P(DecodeFuzz, BitFlippedRecoveryTierEncodings) {
       expect_no_crash(truncated,
                       [&](const Bytes& d) { decoders(d, which); return 0; });
     }
-    // Random junk too — geometry fields must not drive allocations.
+    // Random junk too — count fields must not drive allocations.
     expect_no_crash(rng.next_bytes(rng.next_below(200)),
                     [&](const Bytes& d) { decoders(d, which); return 0; });
   }
 
-  // Untampered round trips stay verifiable.
-  const ledger::SnapshotHeader header =
-      ledger::SnapshotHeader::decode(snap.header().encode());
-  EXPECT_TRUE(header.self_consistent());
-  EXPECT_EQ(header.root, snap.root());
-  const ledger::Snapshot back = ledger::Snapshot::decode(snap.encode());
-  EXPECT_EQ(back.root(), snap.root());
+  // An untampered batch round-trips and re-authenticates: its nodes
+  // graft back into exactly the offered root.
+  ledger::NodeStore received;
+  for (const Bytes& node : ledger::NodeBatch::decode(batch.encode()).nodes) {
+    received.emplace(ledger::StateTrie::hash_node(node), node);
+  }
+  const ledger::StateTrie rebuilt =
+      ledger::StateTrie::graft(root, received, ledger::StateTrie::NodeIndex{});
+  EXPECT_EQ(rebuilt.root_hash(), root);
 }
 
 TEST_P(DecodeFuzz, BitFlippedCommitPathEncodings) {

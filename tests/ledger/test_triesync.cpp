@@ -1,7 +1,8 @@
-// Unit tests for the trie-node delta state-transfer engine, driven by
-// scripted providers over a raw ReliableChannel — no platform above it.
-// Platform-level wiring (Fabric rejoin_delta, quarantine) is covered in
-// the integration suites.
+// Unit tests for the trie-node state-transfer engine, driven by scripted
+// providers over a raw ReliableChannel — no platform above it. The
+// platform wiring (Fabric and Quorum rejoin, evidence, quarantine, the
+// post-checkpoint replay) is covered in tests/integration/test_recovery.cpp
+// and tests/integration/test_chaos.cpp.
 #include "ledger/triesync.hpp"
 
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@ class TrieSyncTest : public ::testing::Test {
     WorldState state;
     std::uint64_t height = 0;
     crypto::Digest tip{};
+    bool tamper = false;  // serve every node with a flipped byte
   };
 
   TrieSyncTest()
@@ -43,24 +45,24 @@ class TrieSyncTest : public ::testing::Test {
     engine_.emplace(
         channel_,
         TrieSync::Callbacks{
-            .provider = [this](const net::Principal& self, const std::string&,
-                               std::uint64_t min_height)
+            .provider = [this](const net::Principal& self, const std::string&)
                 -> std::optional<TrieSync::DonorState> {
               auto it = donors_.find(self);
-              if (it == donors_.end() || it->second.height < min_height) {
-                return std::nullopt;
-              }
-              return TrieSync::DonorState{&it->second.state,
-                                          it->second.height, it->second.tip};
+              if (it == donors_.end()) return std::nullopt;
+              const Holder& h = it->second;
+              return TrieSync::DonorState{&h.state, h.height, h.tip,
+                                          h.tamper};
             },
-            .offer_check = nullptr,
+            .offer_check = [this](const net::Principal&, const std::string&,
+                                  std::uint64_t height,
+                                  const crypto::Digest& tip) {
+              return !offer_check_ || offer_check_(height, tip);
+            },
             .on_complete = [this](const net::Principal&, const std::string&,
                                   std::uint64_t height, const crypto::Digest&,
-                                  WorldState state,
-                                  const TrieSync::Report& report) {
+                                  WorldState state) {
               completed_height_ = height;
               completed_state_ = std::move(state);
-              report_ = report;
             },
             .on_reject = [this](const net::Principal&, const std::string&,
                                 const net::Principal& donor,
@@ -101,9 +103,11 @@ class TrieSyncTest : public ::testing::Test {
   /// Returns true to swallow the message instead of handing it to the
   /// engine (Byzantine donor scripting).
   std::function<bool(const std::string& self, const net::Message&)> intercept_;
+  /// Joiner-side delivery-log check (unset = accept every offer).
+  std::function<bool(std::uint64_t height, const crypto::Digest& tip)>
+      offer_check_;
   std::optional<std::uint64_t> completed_height_;
   std::optional<WorldState> completed_state_;
-  TrieSync::Report report_;
   std::vector<std::pair<net::Principal, TransferReject>> rejects_;
   int failed_ = 0;
 };
@@ -111,7 +115,7 @@ class TrieSyncTest : public ::testing::Test {
 TEST_F(TrieSyncTest, OwnsExactlyTheTsyncTopics) {
   EXPECT_TRUE(TrieSync::owns_topic("tsync.req"));
   EXPECT_TRUE(TrieSync::owns_topic("tsync.nodes"));
-  EXPECT_FALSE(TrieSync::owns_topic("snap.req"));
+  EXPECT_FALSE(TrieSync::owns_topic("fabric.block"));
   EXPECT_FALSE(TrieSync::owns_topic("tsyncX"));
 }
 
@@ -130,8 +134,8 @@ TEST_F(TrieSyncTest, BootstrapFromEmptyPriorShipsTheWholeImage) {
   EXPECT_EQ(completed_state_->size(), state.size());
   std::unordered_set<crypto::Digest, DigestHash> all;
   state.trie().node_hashes(all);
-  EXPECT_EQ(report_.fresh_nodes, all.size());  // nothing to dedup against
-  EXPECT_EQ(report_.prior_nodes, 0u);
+  // Nothing to dedup against: every node of the image moved.
+  EXPECT_EQ(engine_->stats().nodes_received, all.size());
   EXPECT_FALSE(engine_->active("joiner", "scope"));
   EXPECT_EQ(engine_->stats().transfers_completed, 1u);
   EXPECT_EQ(engine_->stats().nodes_rejected, 0u);
@@ -165,11 +169,9 @@ TEST_F(TrieSyncTest, OneBlockLagShipsOnlyTouchedPaths) {
   }
   // 5 touched keys out of 400: the shipped slice is a small fraction of
   // the full node image a bootstrap would have transferred.
-  EXPECT_GT(report_.fresh_nodes, 0u);
-  EXPECT_LT(report_.fresh_nodes, image.size() / 4);
-  EXPECT_EQ(report_.prior_nodes, prior.trie().build_node_index().size());
-  EXPECT_LT(report_.fresh_bytes, image_bytes / 4);
-  EXPECT_EQ(engine_->stats().node_bytes_received, report_.fresh_bytes);
+  EXPECT_GT(engine_->stats().nodes_received, 0u);
+  EXPECT_LT(engine_->stats().nodes_received, image.size() / 4);
+  EXPECT_LT(engine_->stats().node_bytes_received, image_bytes / 4);
 }
 
 TEST_F(TrieSyncTest, AlreadyCurrentJoinerFetchesNothing) {
@@ -183,9 +185,8 @@ TEST_F(TrieSyncTest, AlreadyCurrentJoinerFetchesNothing) {
 
   ASSERT_TRUE(completed_state_.has_value());
   EXPECT_EQ(completed_state_->digest(), state.digest());
-  EXPECT_EQ(report_.fresh_nodes, 0u);
-  EXPECT_EQ(report_.fresh_bytes, 0u);
   EXPECT_EQ(engine_->stats().nodes_received, 0u);
+  EXPECT_EQ(engine_->stats().node_bytes_received, 0u);
 }
 
 TEST_F(TrieSyncTest, EmptyStateTransfersWithoutAnyNodes) {
@@ -198,7 +199,7 @@ TEST_F(TrieSyncTest, EmptyStateTransfersWithoutAnyNodes) {
 
   ASSERT_TRUE(completed_state_.has_value());
   EXPECT_TRUE(completed_state_->empty());
-  EXPECT_EQ(report_.fresh_nodes, 0u);
+  EXPECT_EQ(engine_->stats().nodes_received, 0u);
 }
 
 TEST_F(TrieSyncTest, EmptyHandedDonorIsBenignFailover) {
@@ -231,13 +232,19 @@ TEST_F(TrieSyncTest, NoDonorHasAnythingFailsClosed) {
 
 TEST_F(TrieSyncTest, EquivocatedRootRejectedByVoteQuorumBeforeFetch) {
   // peer1 offers a self-consistent state nobody else computed. Only the
-  // vote quorum can expose it — and must, before any node moves.
+  // vote quorum can expose it — and must, before any node is fetched.
   const WorldState honest = sample_state();
   WorldState forged = sample_state();
   forged.put("key/0", to_bytes("forged"));
   seed_donor("peer1", forged, 7);
   seed_donor("peer2", honest, 7);
   seed_donor("peer3", honest, 7);
+  int fetches_to_peer1 = 0;
+  intercept_ = [&fetches_to_peer1](const std::string& self,
+                                   const net::Message& msg) {
+    if (self == "peer1" && msg.topic == "tsync.fetch") ++fetches_to_peer1;
+    return false;
+  };
 
   fetch(WorldState{});
   net_.run();
@@ -247,10 +254,44 @@ TEST_F(TrieSyncTest, EquivocatedRootRejectedByVoteQuorumBeforeFetch) {
   EXPECT_EQ(rejects_[0].second, TransferReject::EquivocatedRoot);
   EXPECT_TRUE(is_misbehavior(rejects_[0].second));
   EXPECT_EQ(engine_->stats().donors_rejected, 1u);
-  // Rejected before fetch: none of the forgery's nodes ever moved, and
-  // the honest fallback completed.
+  // Rejected before fetch: beyond the top nodes its offer carried, none
+  // of the forgery's nodes moved, and the honest fallback completed.
+  EXPECT_EQ(fetches_to_peer1, 0);
   ASSERT_TRUE(completed_state_.has_value());
   EXPECT_EQ(completed_state_->digest(), honest.digest());
+}
+
+TEST_F(TrieSyncTest, OfferFailingOfferCheckRejectedBeforeAnyNodeMoves) {
+  // peer1 announces a head the joiner's sealed delivery log never held.
+  // The offer check convicts it before a vote is asked or a node moves;
+  // peer2's honest offer then completes the transfer.
+  const WorldState state = sample_state();
+  seed_donor("peer1", state, 7);
+  seed_donor("peer2", state, 7);
+  seed_donor("peer3", state, 7);
+  const crypto::Digest sealed_tip = donors_["peer2"].tip;
+  donors_["peer1"].tip = crypto::sha256(to_bytes("forged tip"));
+  offer_check_ = [sealed_tip](std::uint64_t, const crypto::Digest& tip) {
+    return tip == sealed_tip;
+  };
+  int fetches_to_peer1 = 0;
+  intercept_ = [&fetches_to_peer1](const std::string& self,
+                                   const net::Message& msg) {
+    if (self == "peer1" && msg.topic == "tsync.fetch") ++fetches_to_peer1;
+    return false;
+  };
+
+  fetch(WorldState{});
+  net_.run();
+
+  ASSERT_GE(rejects_.size(), 1u);
+  EXPECT_EQ(rejects_[0].first, "peer1");
+  EXPECT_EQ(rejects_[0].second, TransferReject::OfferCheckFailed);
+  EXPECT_TRUE(is_misbehavior(rejects_[0].second));
+  EXPECT_EQ(engine_->stats().donors_rejected, 1u);
+  EXPECT_EQ(fetches_to_peer1, 0);
+  ASSERT_TRUE(completed_state_.has_value());
+  EXPECT_EQ(completed_state_->digest(), state.digest());
 }
 
 TEST_F(TrieSyncTest, TamperedNodeConvictsDonorAndVerifiedNodesSurvive) {
@@ -355,6 +396,26 @@ TEST_F(TrieSyncTest, AbortDropsVolatileTransferState) {
   EXPECT_EQ(engine_->stats().transfers_completed, 0u);
 }
 
+TEST_F(TrieSyncTest, TamperingDonorFlagConvictsAndFailsOver) {
+  // The provider-side adversary the platforms script: honest offer and
+  // votes, then every served node carries a flipped byte.
+  const WorldState state = sample_state(120);
+  seed_donor("peer1", state, 6);
+  seed_donor("peer2", state, 6);
+  seed_donor("peer3", state, 6);
+  donors_["peer1"].tamper = true;
+
+  fetch(WorldState{});
+  net_.run();
+
+  ASSERT_EQ(rejects_.size(), 1u);
+  EXPECT_EQ(rejects_[0].first, "peer1");
+  EXPECT_EQ(rejects_[0].second, TransferReject::TamperedNode);
+  EXPECT_GE(engine_->stats().nodes_rejected, 1u);
+  ASSERT_TRUE(completed_state_.has_value());
+  EXPECT_EQ(completed_state_->digest(), state.digest());
+}
+
 TEST_F(TrieSyncTest, MalformedWirePayloadsCountedAndDropped) {
   for (const char* topic : {"tsync.req", "tsync.offer", "tsync.vote-req",
                             "tsync.vote", "tsync.fetch", "tsync.nodes"}) {
@@ -362,6 +423,21 @@ TEST_F(TrieSyncTest, MalformedWirePayloadsCountedAndDropped) {
   }
   net_.run();
   EXPECT_EQ(engine_->stats().malformed, 6u);
+}
+
+TEST_F(TrieSyncTest, RejectReasonStringsAreDistinct) {
+  const TransferReject all[] = {
+      TransferReject::MalformedOffer,  TransferReject::OfferCheckFailed,
+      TransferReject::EquivocatedRoot, TransferReject::TamperedNode,
+      TransferReject::InconsistentBody, TransferReject::DonorGone,
+  };
+  std::set<std::string> names;
+  for (TransferReject r : all) {
+    names.insert(to_string(r));
+    // Only a donor that refused or lost the root goes unconvicted.
+    EXPECT_EQ(is_misbehavior(r), r != TransferReject::DonorGone);
+  }
+  EXPECT_EQ(names.size(), std::size(all));
 }
 
 // ---- Wire-type decode fuzz -------------------------------------------------
@@ -390,17 +466,26 @@ void fuzz_decode(const common::Bytes& good, std::uint64_t seed) {
 
 TEST(TrieSyncWire, DecodeFuzzNeverCrashes) {
   const WorldState state = sample_state(8);
+  NodeStore store;
+  state.trie().collect_nodes(store);
+  TrieSyncRequest treq{.scope = "ch", .min_height = 42,
+                       .have = {state.digest(), crypto::sha256(to_bytes("c"))}};
+  fuzz_decode<TrieSyncRequest>(treq.encode(), 10);
+
+  RootVote vote{.scope = "ch", .height = 3, .known = true,
+                .root = state.digest()};
+  fuzz_decode<RootVote>(vote.encode(), 14);
+
   TrieSyncOffer offer{.scope = "ch", .available = true, .height = 4,
                       .tip_hash = crypto::sha256(to_bytes("t")),
-                      .state_root = state.digest()};
+                      .state_root = state.digest(),
+                      .nodes = {store.at(state.digest())}};
   fuzz_decode<TrieSyncOffer>(offer.encode(), 11);
 
   NodeRequest req{.scope = "ch", .state_root = state.digest(),
                   .wanted = {state.digest(), crypto::sha256(to_bytes("x"))}};
   fuzz_decode<NodeRequest>(req.encode(), 12);
 
-  NodeStore store;
-  state.trie().collect_nodes(store);
   NodeBatch batch{.scope = "ch", .state_root = state.digest(), .ok = true};
   for (const auto& [hash, bytes] : store) {
     (void)hash;
@@ -411,15 +496,32 @@ TEST(TrieSyncWire, DecodeFuzzNeverCrashes) {
 
 TEST(TrieSyncWire, RoundTripsExactly) {
   const WorldState state = sample_state(8);
+  TrieSyncRequest treq{.scope = "ch", .min_height = 42,
+                       .have = {state.digest()}};
+  const TrieSyncRequest treq2 = TrieSyncRequest::decode(treq.encode());
+  EXPECT_EQ(treq2.scope, "ch");
+  EXPECT_EQ(treq2.min_height, 42u);
+  EXPECT_EQ(treq2.have, treq.have);
+
+  RootVote vote{.scope = "ch", .height = 3, .known = true,
+                .root = state.digest()};
+  const RootVote vote2 = RootVote::decode(vote.encode());
+  EXPECT_EQ(vote2.height, 3u);
+  EXPECT_TRUE(vote2.known);
+  EXPECT_EQ(vote2.root, state.digest());
+
   TrieSyncOffer offer{.scope = "ch", .available = true, .height = 4,
                       .tip_hash = crypto::sha256(to_bytes("t")),
-                      .state_root = state.digest()};
+                      .state_root = state.digest(),
+                      .nodes = {to_bytes("root"), to_bytes("child")}};
   const TrieSyncOffer offer2 = TrieSyncOffer::decode(offer.encode());
   EXPECT_TRUE(offer2.available);
   EXPECT_EQ(offer2.height, 4u);
   EXPECT_EQ(offer2.state_root, state.digest());
+  EXPECT_EQ(offer2.nodes, offer.nodes);
 
-  TrieSyncOffer refusal{.scope = "ch", .available = false};
+  TrieSyncOffer refusal;
+  refusal.scope = "ch";
   EXPECT_FALSE(TrieSyncOffer::decode(refusal.encode()).available);
 
   NodeRequest req{.scope = "ch", .state_root = state.digest(),

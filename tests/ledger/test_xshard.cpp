@@ -148,6 +148,29 @@ TEST(XShard, SingleShardTransactionSkipsEchoWindow) {
   EXPECT_EQ(rig.shards.outcome(0, xid), ShardMap::Outcome::Committed);
 }
 
+// Regression: the echo-window finalize hands apply_outcome the decision
+// held inside the prepared entry that apply_outcome erases. The commit
+// branch must still see the verdict after the erase (under
+// -DVEIL_SANITIZE=address a dangling read here is a heap-use-after-free).
+TEST(XShard, EchoWindowFinalizeCommitSealsBothShards) {
+  Rig rig(504);
+  const Transaction tx = rig.cross_tx(4);
+  const std::string xid = rig.coord.begin(tx);
+  rig.net.run();
+
+  // The verdict was held for the echo window before it was applied.
+  EXPECT_GE(rig.net.clock().now(), rig.shards.config().echo_window_us);
+  EXPECT_EQ(rig.shards.outcome(0, xid), ShardMap::Outcome::Committed);
+  EXPECT_EQ(rig.shards.outcome(1, xid), ShardMap::Outcome::Committed);
+  EXPECT_EQ(rig.shards.stats().xcommitted, 2u);
+  EXPECT_EQ(rig.shards.stats().xaborted, 0u);
+  // The commit branch ran on each participant: one sealed block apiece.
+  EXPECT_EQ(rig.shards.height(0), 1u);
+  EXPECT_EQ(rig.shards.height(1), 1u);
+  EXPECT_EQ(rig.shards.get(tx.writes[0].key)->value, to_bytes("a"));
+  EXPECT_EQ(rig.shards.get(tx.writes[1].key)->value, to_bytes("b"));
+}
+
 // ---- Coordinator crash sweep ----------------------------------------------
 // Kill the coordinator at every protocol step (before and after each WAL
 // append) and restart it; the shards must converge to one outcome and the
