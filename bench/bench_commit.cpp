@@ -4,9 +4,9 @@
 //   * BM_FabricCommitPipeline — end-to-end submit→endorse→order→validate
 //     throughput via submit_many(), swept over wave size (1/8/32/128) ×
 //     validation mode (Trusting/Validate/Detect) × pool threads
-//     (1/2/4/8). Wave size 1 at 1 thread is the serial submit() baseline;
-//     the spread against it is what the mempool tokens, the pipelined
-//     stages and the batched RLC verification buy together.
+//     (1/2/4/8). Wave size 1 IS submit(): a serial call is a wave of
+//     one. The spread against it is what the mempool tokens, the
+//     pipelined stages and the batched RLC verification buy together.
 //   * BM_QuorumPrivatePipeline — private-tx pipeline (TM sealing as pool
 //     tasks) with commit verification ON, the configuration where the
 //     validate-once mempool and batch kernel are load-bearing.

@@ -10,6 +10,9 @@
 //     chain grows (args: chain length).
 //   * BM_QuorumRejoinUnderLoss — state transfer to convergence at
 //     0-30% uniform message loss, resume loop included (arg: loss %).
+//     Sim time under loss is heavy-tailed (retransmit backoff), so each
+//     iteration runs the same rejoin on a fixed set of network seeds and
+//     the counters are means over all of them.
 #include <benchmark/benchmark.h>
 
 #include "ledger/snapshot.hpp"
@@ -26,8 +29,8 @@ struct Fixture {
   quorum::QuorumNetwork quorum;
   int counter = 0;
 
-  explicit Fixture(std::uint64_t interval)
-      : net(common::Rng(61)),
+  explicit Fixture(std::uint64_t interval, std::uint64_t net_seed = 61)
+      : net(common::Rng(net_seed)),
         rng(62),
         quorum(net, crypto::Group::test_group(), rng, /*block_size=*/1,
                ledger::SnapshotConfig{.interval = interval}) {
@@ -131,32 +134,38 @@ void BM_QuorumRejoinUnderLoss(benchmark::State& state) {
   constexpr std::uint64_t kChainLen = 48;
   constexpr std::uint64_t kLag = 16;
   constexpr std::uint64_t kInterval = 8;
+  constexpr std::uint64_t kFirstSeed = 61;
+  constexpr std::uint64_t kSeeds = 8;
   std::uint64_t resumes = 0;
   std::uint64_t sim_us = 0;
   std::uint64_t rejoins = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    Fixture f(kInterval);
-    f.lag_node_c(kChainLen, kLag);
-    f.net.set_drop_probability(loss);
-    const std::uint64_t t0 = f.net.clock().now();
-    state.ResumeTiming();
-    f.quorum.rejoin("NodeC");
-    // Loss past the retry budget stalls the transfer; re-drive it. The
-    // resume count is part of the measured cost.
-    int rounds = 0;
-    while (f.quorum.public_chain("NodeC").height() < f.quorum.sealed_height() &&
-           rounds < 100) {
-      f.quorum.resume_rejoin("NodeC");
-      ++rounds;
+    for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
+      state.PauseTiming();
+      Fixture f(kInterval, seed);
+      f.lag_node_c(kChainLen, kLag);
+      f.net.set_drop_probability(loss);
+      const std::uint64_t t0 = f.net.clock().now();
+      state.ResumeTiming();
+      f.quorum.rejoin("NodeC");
+      // Loss past the retry budget stalls the transfer; re-drive it. The
+      // resume count is part of the measured cost.
+      int rounds = 0;
+      while (f.quorum.public_chain("NodeC").height() <
+                 f.quorum.sealed_height() &&
+             rounds < 100) {
+        f.quorum.resume_rejoin("NodeC");
+        ++rounds;
+      }
+      state.PauseTiming();
+      resumes += static_cast<std::uint64_t>(rounds);
+      sim_us += f.net.clock().now() - t0;
+      ++rejoins;
+      state.ResumeTiming();
     }
-    state.PauseTiming();
-    resumes += static_cast<std::uint64_t>(rounds);
-    sim_us += f.net.clock().now() - t0;
-    ++rejoins;
-    state.ResumeTiming();
   }
   state.counters["loss_pct"] = static_cast<double>(state.range(0));
+  state.counters["seeds"] = static_cast<double>(kSeeds);
   state.counters["resumes_per_rejoin"] =
       static_cast<double>(resumes) / static_cast<double>(rejoins);
   state.counters["sim_us_per_rejoin"] =

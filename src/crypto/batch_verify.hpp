@@ -86,6 +86,8 @@ class BatchVerifier {
     std::uint64_t rejected_items = 0;
     std::uint64_t key_cache_hits = 0;
     std::uint64_t key_cache_misses = 0;
+
+    bool operator==(const Stats&) const = default;
   };
   const Stats& stats() const { return stats_; }
 

@@ -113,6 +113,32 @@ bool Mempool::admit(const Transaction& tx, bool verified,
   return true;
 }
 
+void Mempool::admit_wave(const std::vector<const Transaction*>& txs,
+                         crypto::BatchVerifier& verifier,
+                         common::SimTime now) {
+  const std::vector<char> ok = batch_endorsements_valid(verifier, txs);
+  for (std::size_t i = 0; i < txs.size(); ++i) admit(*txs[i], ok[i] != 0, now);
+}
+
+std::vector<char> batch_endorsements_valid(
+    crypto::BatchVerifier& verifier,
+    const std::vector<const Transaction*>& txs) {
+  std::vector<std::size_t> queued;  // batch index -> txs index
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    const crypto::Digest digest = txs[i]->body_digest();
+    const common::BytesView msg(digest.data(), digest.size());
+    for (const Endorsement& e : txs[i]->endorsements) {
+      verifier.add_signature(e.key, msg, e.signature);
+      queued.push_back(i);
+    }
+  }
+  std::vector<char> ok(txs.size(), 1);
+  if (verifier.pending() > 0) {
+    for (const std::size_t bad : verifier.verify().invalid) ok[queued[bad]] = 0;
+  }
+  return ok;
+}
+
 const ValidationToken* Mempool::token(const std::string& tx_id) const {
   const auto it = tokens_.find(tx_id);
   return it == tokens_.end() ? nullptr : &it->second;

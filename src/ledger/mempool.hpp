@@ -27,6 +27,7 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "crypto/batch_verify.hpp"
 #include "ledger/state.hpp"
 #include "ledger/transaction.hpp"
 
@@ -82,7 +83,17 @@ struct MempoolStats {
   std::uint64_t invalidated = 0;
   std::uint64_t eviction_skips_pinned = 0;  // FIFO victims spared by a pin
   std::uint64_t pinned_overflow = 0;  // admits with every resident pinned
+
+  bool operator==(const MempoolStats&) const = default;
 };
+
+/// One batched signature check over every endorsement of `txs`; returns
+/// a verdict per transaction (1 = all its endorsements verify). A forged
+/// endorsement bisects down to its add-order index, which maps back to
+/// its transaction.
+std::vector<char> batch_endorsements_valid(
+    crypto::BatchVerifier& verifier,
+    const std::vector<const Transaction*>& txs);
 
 class Mempool {
  public:
@@ -93,6 +104,13 @@ class Mempool {
   /// false and counts a duplicate if the id is already resident. May evict
   /// the oldest resident on overflow.
   bool admit(const Transaction& tx, bool verified, common::SimTime now);
+
+  /// Wave admission: every endorsement across `txs` joins ONE batched
+  /// check on `verifier`, then each transaction is admitted with its own
+  /// verdict. Batching at wave granularity is what lets the RLC
+  /// multi-exponentiation amortize its squaring chain.
+  void admit_wave(const std::vector<const Transaction*>& txs,
+                  crypto::BatchVerifier& verifier, common::SimTime now);
 
   /// Token for `tx_id`, or nullptr if not resident.
   const ValidationToken* token(const std::string& tx_id) const;

@@ -133,6 +133,8 @@ struct NetworkStats {
   std::uint64_t tcp_frames_rejected = 0;  // duplicate frames dropped by seq
   std::uint64_t tcp_write_overflow = 0;   // sends refused: link queue full
   std::uint64_t tcp_injected_faults = 0;  // injector decisions that fired
+
+  bool operator==(const NetworkStats&) const = default;
 };
 
 /// Why a cross-shard transaction aborted (the counter breakdown above).

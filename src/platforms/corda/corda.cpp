@@ -1108,17 +1108,7 @@ CordaNetwork::BackchainResult CordaNetwork::resolve_backchain(
 
     // The cryptographic half — the notary's uniqueness attestation over
     // the Merkle root — batches across the whole walk.
-    if (batch_verify_) {
-      owed.push_back(QueuedCheck{&notary->second, &record, current.tx_id});
-      continue;
-    }
-    if (!crypto::verify(*group_, notary->second.keypair.public_key(),
-                        root_view(record.root), record.notary_signature)) {
-      result.reason = "invalid notarization on " + current.tx_id;
-      result.valid = false;
-      return result;
-    }
-    verified_ancestors_.insert(current.tx_id);
+    owed.push_back(QueuedCheck{&notary->second, &record, current.tx_id});
   }
 
   if (!owed.empty()) {
@@ -1141,6 +1131,16 @@ CordaNetwork::BackchainResult CordaNetwork::resolve_backchain(
   }
   result.valid = true;
   return result;
+}
+
+std::optional<CordaNetwork::Notarization> CordaNetwork::notarization(
+    const std::string& tx_id) const {
+  const auto record = tx_records_.find(tx_id);
+  if (record == tx_records_.end()) return std::nullopt;
+  const auto notary = notaries_.find(record->second.notary);
+  if (notary == notaries_.end()) return std::nullopt;
+  return Notarization{notary->second.keypair.public_key(),
+                      record->second.root, record->second.notary_signature};
 }
 
 std::vector<CordaState> CordaNetwork::vault(const std::string& party) const {

@@ -168,13 +168,11 @@ class CordaNetwork {
   BackchainResult resolve_backchain(const std::string& party,
                                     const StateRef& ref);
 
-  /// Route backchain notarization checks through the batched RLC kernel
-  /// (default) or the per-item path (differential testing). Either way an
-  /// ancestor verified once is never re-verified: notarization validity
-  /// is party-independent (same immutable record, same notary key), so
-  /// the verified set is shared network-wide — Corda's mirror of the
-  /// validate-once mempool token.
-  void set_batch_verify(bool on = true) { batch_verify_ = on; }
+  /// Backchain notarization checks run through the batched RLC kernel,
+  /// and an ancestor verified once is never re-verified: notarization
+  /// validity is party-independent (same immutable record, same notary
+  /// key), so the verified set is shared network-wide — Corda's mirror of
+  /// the validate-once mempool token.
   const crypto::BatchVerifier::Stats& batch_verify_stats() const {
     return batch_verifier_.stats();
   }
@@ -183,6 +181,15 @@ class CordaNetwork {
   std::size_t verified_ancestor_count() const {
     return verified_ancestors_.size();
   }
+  /// What backchain resolution checks for one recorded transaction: the
+  /// notary's signature over the Merkle root. Lets a caller re-verify a
+  /// resolution item by item. nullopt for an unknown tx id.
+  struct Notarization {
+    crypto::PublicKey notary_key;
+    crypto::Digest root{};
+    crypto::Signature signature;
+  };
+  std::optional<Notarization> notarization(const std::string& tx_id) const;
 
   /// Resolve a one-time key fingerprint to an identity — only succeeds
   /// for parties that were handed the linkage certificate.
@@ -454,7 +461,6 @@ class CordaNetwork {
   /// While set, transact() may resolve inputs from the initiator's spent
   /// archive — the byzantine_respend() bypass.
   bool respend_ = false;
-  bool batch_verify_ = true;
   // Overload tier: volatile refusal machinery, never WAL-logged.
   common::SimTime default_ttl_us_ = 0;
   std::size_t pending_capacity_ = 0;

@@ -398,9 +398,9 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
                                  const ledger::Block& block, bool replay) {
   PeerReplica& replica = channel.replicas.at(org);
   // Endorsement-signature verification dominates commit cost and is a
-  // pure function of each transaction — verify all of them across the
-  // pool, then walk the block serially (auditor records, state.apply and
-  // receipts keep their original order). Trusting peers skip it: they
+  // pure function of each transaction — verify all of them in one batch
+  // up front, then walk the block serially (auditor records, state.apply
+  // and receipts keep their original order). Trusting peers skip it: they
   // take the orderer's word, which is exactly the deployment the paper's
   // orderer caveat warns about.
   const std::size_t tx_count = block.transactions.size();
@@ -408,8 +408,7 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
   // Per-transaction "at least one endorsement verifies" — the Detect-mode
   // orderer-tampering signal. Token hits count as fully verified.
   std::vector<char> any_sig_valid(tx_count, 1);
-  if (validation_mode_ != ValidationMode::Trusting &&
-      config_.batch_verify) {
+  if (validation_mode_ != ValidationMode::Trusting) {
     // Validate-once: a transaction whose admission token still speaks for
     // it (same body digest — the id IS the digest — and unmoved read
     // versions) skips signature work entirely. Read versions are checked
@@ -446,27 +445,6 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
         } else {
           any_sig_valid[queued[k].first] = 1;
         }
-      }
-    }
-  } else if (validation_mode_ != ValidationMode::Trusting) {
-    sig_valid = common::ThreadPool::global().parallel_map(
-        tx_count, [&](std::size_t i) -> char {
-          return block.transactions[i].endorsements_valid(*group_) ? 1 : 0;
-        });
-    if (validation_mode_ == ValidationMode::Detect) {
-      for (std::size_t i = 0; i < tx_count; ++i) {
-        const ledger::Transaction& tx = block.transactions[i];
-        if (tx.endorsements.empty()) continue;
-        const crypto::Digest digest = tx.body_digest();
-        const common::BytesView msg(digest.data(), digest.size());
-        bool any = false;
-        for (const ledger::Endorsement& e : tx.endorsements) {
-          if (crypto::verify(*group_, e.key, msg, e.signature)) {
-            any = true;
-            break;
-          }
-        }
-        any_sig_valid[i] = any ? 1 : 0;
       }
     }
   }
@@ -821,56 +799,6 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
   return prepared;
 }
 
-void FabricNetwork::admit_to_mempool(const ledger::Transaction& tx) {
-  // Trusting peers never verify, so a token would claim work that was
-  // never done — skip the pool entirely in that mode.
-  if (validation_mode_ == ValidationMode::Trusting) return;
-  bool verified;
-  if (config_.batch_verify) {
-    const crypto::Digest digest = tx.body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-    }
-    verified = batch_verifier_.pending() == 0 ||
-               batch_verifier_.verify().all_valid;
-  } else {
-    verified = tx.endorsements_valid(*group_);
-  }
-  mempool_.admit(tx, verified, network_->clock().now());
-}
-
-void FabricNetwork::admit_wave_to_mempool(
-    std::vector<PreparedSubmission>& prepared) {
-  if (validation_mode_ == ValidationMode::Trusting) return;
-  const common::SimTime now = network_->clock().now();
-  if (!config_.batch_verify) {
-    for (PreparedSubmission& p : prepared) {
-      mempool_.admit(p.tx, p.tx.endorsements_valid(*group_), now);
-    }
-    return;
-  }
-  // One batch for the whole wave; a forged endorsement anywhere bisects
-  // down to its add-order index, which maps back to its transaction.
-  std::vector<std::size_t> queued;  // batch index -> prepared index
-  for (std::size_t p = 0; p < prepared.size(); ++p) {
-    const crypto::Digest digest = prepared[p].tx.body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : prepared[p].tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-      queued.push_back(p);
-    }
-  }
-  std::vector<char> ok(prepared.size(), 1);
-  if (batch_verifier_.pending() > 0) {
-    const crypto::BatchOutcome outcome = batch_verifier_.verify();
-    for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-  }
-  for (std::size_t p = 0; p < prepared.size(); ++p) {
-    mempool_.admit(prepared[p].tx, ok[p] != 0, now);
-  }
-}
-
 void FabricNetwork::order_transaction(const std::string& channel_name,
                                       ledger::Transaction tx) {
   Channel& ch = channels_.at(channel_name);
@@ -913,44 +841,7 @@ TxReceipt FabricNetwork::submit(const std::string& channel,
   request.private_data = private_data;
   request.idemix = idemix;
 
-  PreparedSubmission prepared = prepare_submission(request);
-  if (!prepared.ok) return prepared.error;
-  ledger::Transaction& tx = prepared.tx;
-
-  // --- Endorsement signatures ---------------------------------------------
-  // Every endorser signs the same body digest, and signing is
-  // deterministic (HMAC-derived nonce), so parallel signing produces the
-  // same bytes as the serial loop; order is preserved by parallel_map.
-  {
-    const crypto::Digest digest = tx.body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    auto endorsements = common::ThreadPool::global().parallel_map(
-        prepared.endorsers.size(), [&](std::size_t i) {
-          const crypto::KeyPair& keypair =
-              orgs_.at(prepared.endorsers[i]).keypair;
-          return ledger::Endorsement{prepared.endorsers[i],
-                                     keypair.public_key(), keypair.sign(msg)};
-        });
-    for (auto& e : endorsements) tx.endorsements.push_back(std::move(e));
-  }
-
-  // --- Admission + ordering + delivery -------------------------------------
-  const std::string tx_id = tx.id();
-  admit_to_mempool(tx);
-  mempool_.pin(tx_id);  // in flight until delivery: not a capacity victim
-  order_transaction(channel, std::move(tx));
-  Channel& ch = channels_.at(channel);
-  for (const ledger::Block& block :
-       orderer_for(ch).flush(network_->clock().now())) {
-    if (!block.transactions.empty()) {
-      deliver_block(block.transactions.front().channel, block);
-    }
-  }
-  mempool_.unpin(tx_id);
-
-  const auto receipt = receipts_.find(tx_id);
-  if (receipt == receipts_.end()) return {false, tx_id, "not delivered"};
-  return receipt->second;
+  return submit_many({std::move(request)}, 1)[0];
 }
 
 std::vector<TxReceipt> FabricNetwork::submit_many(
@@ -987,8 +878,9 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
     }
     // Stage B: endorsement signing for the WHOLE wave fans out as pool
     // tasks. Signing is pure (deterministic HMAC nonce), so results are
-    // bit-identical regardless of scheduling; with no workers the tasks
-    // run inline right here, reproducing the serial transcript.
+    // bit-identical regardless of scheduling. The caller signs the last
+    // endorsement itself instead of idling, so a wave of one with one
+    // endorser never leaves its thread.
     std::vector<std::vector<ledger::Endorsement>> endorsements(
         prepared.size());
     std::vector<std::future<void>> signing;
@@ -999,12 +891,19 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
         const std::string& endorser = prepared[p].endorsers[e];
         const crypto::KeyPair* keypair = &orgs_.at(endorser).keypair;
         ledger::Endorsement* slot = &endorsements[p][e];
-        signing.push_back(common::ThreadPool::global().submit(
-            [slot, endorser, digest, keypair] {
-              const common::BytesView msg(digest.data(), digest.size());
-              *slot = ledger::Endorsement{endorser, keypair->public_key(),
-                                          keypair->sign(msg)};
-            }));
+        std::function<void()> sign = [slot, endorser, digest, keypair] {
+          const common::BytesView msg(digest.data(), digest.size());
+          *slot = ledger::Endorsement{endorser, keypair->public_key(),
+                                      keypair->sign(msg)};
+        };
+        if (p + 1 == prepared.size() &&
+            e + 1 == prepared[p].endorsers.size()) {
+          sign();
+          signing.emplace_back();
+        } else {
+          signing.push_back(
+              common::ThreadPool::global().submit(std::move(sign)));
+        }
       }
     }
     // Stage C (serial, in submission order): harvest the whole wave's
@@ -1015,13 +914,20 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
     std::size_t next_future = 0;
     for (std::size_t p = 0; p < prepared.size(); ++p) {
       for (std::size_t e = 0; e < endorsements[p].size(); ++e) {
-        signing[next_future++].get();
+        if (signing[next_future].valid()) signing[next_future].get();
+        ++next_future;
       }
       for (auto& en : endorsements[p]) {
         prepared[p].tx.endorsements.push_back(std::move(en));
       }
     }
-    admit_wave_to_mempool(prepared);
+    // Trusting peers never verify, so a token would claim work that was
+    // never done — they skip the pool entirely.
+    if (validation_mode_ != ValidationMode::Trusting) {
+      std::vector<const ledger::Transaction*> wave_txs;
+      for (const PreparedSubmission& p : prepared) wave_txs.push_back(&p.tx);
+      mempool_.admit_wave(wave_txs, batch_verifier_, network_->clock().now());
+    }
     for (const PreparedSubmission& p : prepared) {
       const std::string id = p.tx.id();
       mempool_.pin(id);
@@ -1052,7 +958,7 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
   }
 
   // Single flush at the end: partial blocks from every touched channel's
-  // orderer are cut and delivered now (submit() flushes per call).
+  // orderer are cut and delivered now.
   for (const std::string& channel_name : touched) {
     Channel& ch = channels_.at(channel_name);
     for (const ledger::Block& block :

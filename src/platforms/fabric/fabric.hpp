@@ -64,11 +64,6 @@ struct FabricConfig {
   /// in and carry a ValidationToken that block commit consults instead
   /// of re-verifying (ledger/mempool.hpp).
   ledger::MempoolConfig mempool;
-  /// Verify endorsement signatures through the batched
-  /// random-linear-combination kernel (crypto/batch_verify.hpp) instead
-  /// of one exponentiation pair per signature. Results are bit-identical;
-  /// false keeps the per-item path for differential testing.
-  bool batch_verify = true;
 
   // ---- Overload tier (docs/fault_model.md "Overload tier") ----------------
   /// CoDel-style admission controller fronting the mempool: sheds fresh
@@ -158,6 +153,8 @@ class FabricNetwork {
   /// Full transaction flow. `client_org` drives the submission; if
   /// `idemix` is set the transaction carries the pseudonym instead of the
   /// org name. Returns the commit outcome after ordering and validation.
+  /// A wave of one through submit_many(): one commit path, one set of
+  /// overload gates.
   TxReceipt submit(const std::string& channel, const std::string& client_org,
                    const std::string& chaincode, const std::string& action,
                    common::BytesView args,
@@ -186,9 +183,9 @@ class FabricNetwork {
   /// signing for the whole wave fans out as pool tasks while earlier
   /// requests are already being ordered and validated, and admission
   /// verification batches every endorsement of the wave into one
-  /// combined check. Partial blocks are flushed once at the end (submit()
-  /// flushes per call). With VEIL_THREADS=1 every task runs inline and
-  /// the transcript is bit-identical to the multi-threaded run.
+  /// combined check. Partial blocks are flushed once, at the end of the
+  /// call. With VEIL_THREADS=1 every task runs inline and the transcript
+  /// is bit-identical to the multi-threaded run.
   std::vector<TxReceipt> submit_many(const std::vector<SubmitRequest>& requests,
                                      std::size_t pipeline_depth = 8);
 
@@ -359,9 +356,10 @@ class FabricNetwork {
     explicit Channel(net::LeakageAuditor& auditor) : pdc(auditor) {}
   };
 
-  /// Everything submit() does before endorsement signing: membership and
-  /// version checks, contract execution fan-out, PDC dissemination,
-  /// client identity. Serial — it reads and writes shared replica state.
+  /// Stage A of submit_many: everything before endorsement signing —
+  /// membership and version checks, the Fresh-class overload gate,
+  /// contract execution fan-out, PDC dissemination, client identity.
+  /// Serial — it reads and writes shared replica state.
   struct PreparedSubmission {
     bool ok = false;
     TxReceipt error;
@@ -370,13 +368,6 @@ class FabricNetwork {
     std::vector<std::string> endorsers;
   };
   PreparedSubmission prepare_submission(const SubmitRequest& request);
-  /// Admission: verify the attached endorsements (batched) and mint the
-  /// transaction's ValidationToken. No-op in Trusting mode.
-  void admit_to_mempool(const ledger::Transaction& tx);
-  /// Wave admission for submit_many: every endorsement across the wave
-  /// joins ONE batched check, so the RLC squaring chain is paid once per
-  /// wave instead of once per transaction. No-op in Trusting mode.
-  void admit_wave_to_mempool(std::vector<PreparedSubmission>& prepared);
   /// Hand the endorsed transaction to the ordering service and deliver
   /// any blocks it cut. Does NOT flush partial blocks.
   void order_transaction(const std::string& channel_name,

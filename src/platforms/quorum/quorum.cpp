@@ -1,5 +1,7 @@
 #include "platforms/quorum/quorum.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "common/thread_pool.hpp"
@@ -87,7 +89,8 @@ void QuorumNetwork::add_node(const std::string& org) {
 TxResult QuorumNetwork::submit_public(
     const std::string& from, const std::vector<ledger::KvWrite>& writes) {
   if (!nodes_.contains(from)) return {false, "", "unknown node"};
-  ledger::Transaction tx;
+  std::vector<WaveItem> wave(1);
+  ledger::Transaction& tx = wave[0].tx;
   tx.channel = "quorum";
   tx.contract = "evm";
   tx.action = "public";
@@ -98,46 +101,18 @@ TxResult QuorumNetwork::submit_public(
   common::Writer nonce;
   nonce.u64(nonce_++);
   tx.payload = nonce.take();
-  tx.endorse(from, nodes_.at(from).keypair);
   ++public_count_;
-  return enqueue(std::move(tx), {}, {}, {});
+  std::vector<TxResult> out(1);
+  commit_wave(from, wave, out);
+  return out[0];
 }
 
 TxResult QuorumNetwork::submit_private(const std::string& from,
                                        const std::set<std::string>& recipients,
                                        const std::vector<ledger::KvWrite>& writes,
                                        common::Bytes payload) {
-  if (!nodes_.contains(from)) return {false, "", "unknown node"};
-  for (const std::string& r : recipients) {
-    if (!nodes_.contains(r)) return {false, "", "unknown recipient " + r};
-  }
-
-  // Serialize the private detail; only its hash goes on chain.
-  common::Writer w;
-  w.varint(writes.size());
-  for (const ledger::KvWrite& kv : writes) {
-    w.str(kv.key);
-    w.bytes(kv.value);
-    w.boolean(kv.is_delete);
-  }
-  w.bytes(payload);
-  w.u64(nonce_++);
-  const common::Bytes private_blob = w.take();
-
-  ledger::Transaction tx;
-  tx.channel = "quorum";
-  tx.contract = "evm";
-  tx.action = "private";
-  // DOCUMENTED FLAW: the participant list is public on the chain.
-  tx.participants.push_back(from);
-  for (const std::string& r : recipients) tx.participants.push_back(r);
-  tx.payload = crypto::digest_bytes(crypto::sha256(private_blob));
-  tx.data_opaque = true;  // chain carries hash only
-  tx.timestamp = network_->clock().now();
-  if (default_ttl_us_ != 0) tx.deadline_us = tx.timestamp + default_ttl_us_;
-  tx.endorse(from, nodes_.at(from).keypair);
-  ++private_count_;
-  return enqueue(std::move(tx), recipients, writes, private_blob);
+  return submit_private_many(from, {{recipients, writes, std::move(payload)}},
+                             1)[0];
 }
 
 std::vector<TxResult> QuorumNetwork::submit_private_many(
@@ -149,37 +124,23 @@ std::vector<TxResult> QuorumNetwork::submit_private_many(
     for (auto& r : out) r = {false, "", "unknown node"};
     return out;
   }
-
-  struct Item {
-    std::size_t origin;
-    ledger::Transaction tx;
-    common::Bytes blob;
-    std::vector<std::string> push_targets;
-    std::vector<common::Bytes> nonces;
-    std::vector<common::Bytes> sealed;  // filled by the pool task
-  };
-
   for (std::size_t wave = 0; wave < batch.size(); wave += pipeline_depth) {
     const std::size_t wave_end =
         std::min(batch.size(), wave + pipeline_depth);
     // Stage A (serial): build each transaction and draw every nonce in
-    // submission order, so the byte stream matches serial
-    // submit_private() calls exactly.
-    std::vector<Item> items;
+    // submission order, so the byte stream is the same at any wave size
+    // and thread count.
+    std::vector<WaveItem> items;
     for (std::size_t i = wave; i < wave_end; ++i) {
       const PrivateSubmission& req = batch[i];
-      bool bad_recipient = false;
-      for (const std::string& r : req.recipients) {
-        if (!nodes_.contains(r)) {
-          out[i] = {false, "", "unknown recipient " + r};
-          bad_recipient = true;
-          break;
-        }
+      const auto unknown = std::find_if_not(
+          req.recipients.begin(), req.recipients.end(),
+          [this](const std::string& r) { return nodes_.contains(r); });
+      if (unknown != req.recipients.end()) {
+        out[i] = {false, "", "unknown recipient " + *unknown};
+        continue;
       }
-      if (bad_recipient) continue;
-
-      Item item;
-      item.origin = i;
+      // The private detail; only its hash goes on chain.
       common::Writer w;
       w.varint(req.writes.size());
       for (const ledger::KvWrite& kv : req.writes) {
@@ -189,132 +150,10 @@ std::vector<TxResult> QuorumNetwork::submit_private_many(
       }
       w.bytes(req.payload);
       w.u64(nonce_++);
-      item.blob = w.take();
-
-      item.tx.channel = "quorum";
-      item.tx.contract = "evm";
-      item.tx.action = "private";
-      item.tx.participants.push_back(from);
-      for (const std::string& r : req.recipients) {
-        item.tx.participants.push_back(r);
-      }
-      item.tx.payload = crypto::digest_bytes(crypto::sha256(item.blob));
-      item.tx.data_opaque = true;
-      item.tx.timestamp = network_->clock().now();
-      if (default_ttl_us_ != 0) {
-        item.tx.deadline_us = item.tx.timestamp + default_ttl_us_;
-      }
-      ++private_count_;
-
-      for (const std::string& holder : req.recipients) {
-        if (holder == from) continue;
-        common::Writer nonce;
-        nonce.u64(nonce_++);
-        common::Bytes nonce16 = nonce.take();
-        nonce16.resize(16, 0);
-        item.push_targets.push_back(holder);
-        item.nonces.push_back(std::move(nonce16));
-      }
-      item.sealed.resize(item.push_targets.size());
-      items.push_back(std::move(item));
+      items.push_back(private_item(from, req.recipients, req.writes, w.take()));
+      items.back().origin = i;
     }
-    // Stage B: endorsement signing and per-recipient transaction-manager
-    // sealing for the WHOLE wave run as pool tasks — both are pure
-    // (deterministic nonces, inputs fixed in stage A), so results are
-    // bit-identical at any thread count.
-    const crypto::KeyPair* keypair = &nodes_.at(from).keypair;
-    std::vector<std::future<void>> tasks;
-    for (Item& item : items) {
-      Item* it = &item;
-      tasks.push_back(common::ThreadPool::global().submit(
-          [it, from, keypair] {
-            it->tx.endorse(from, *keypair);
-            for (std::size_t r = 0; r < it->push_targets.size(); ++r) {
-              const common::Bytes pair_key = crypto::hkdf(
-                  {}, common::to_bytes(from + "|" + it->push_targets[r]),
-                  "quorum.tm.pair", 32);
-              it->sealed[r] = crypto::seal(pair_key, it->blob, it->nonces[r]);
-            }
-          }));
-    }
-    // Stage C (serial, submission order): disseminate and collect acks.
-    // While the first items round-trip their acks here, later items are
-    // still sealing in the pool. Admission is deferred to stage D so the
-    // whole wave shares one batched signature check.
-    std::vector<std::size_t> survivors;
-    for (std::size_t j = 0; j < items.size(); ++j) {
-      tasks[j].get();
-      Item& item = items[j];
-      const std::string tx_id = item.tx.id();
-      const PrivateSubmission& req = batch[item.origin];
-
-      auditor().record(from, "tx/" + tx_id + "/data", item.blob.size());
-      nodes_.at(from).tm_store[tx_id] = item.blob;
-      tm_acks_[tx_id] = {};
-      for (std::size_t r = 0; r < item.push_targets.size(); ++r) {
-        PrivateEnvelope env;
-        env.tx_id = tx_id;
-        env.sender = from;
-        env.sealed = item.sealed[r];
-        channel_.send(from, item.push_targets[r], "quorum.tm-push",
-                      env.encode());
-      }
-      network_->run();
-      std::size_t acked = 0;
-      for (const std::string& holder : req.recipients) {
-        if (holder == from || tm_acks_[tx_id].contains(holder)) ++acked;
-      }
-      tm_acks_.erase(tx_id);
-      if (acked < req.recipients.size()) {
-        nodes_.at(from).tm_store.erase(tx_id);
-        out[item.origin] = {false, tx_id,
-                            "private payload dissemination incomplete"};
-        continue;
-      }
-      std::set<std::string> holders = req.recipients;
-      holders.insert(from);
-      private_details_[tx_id] = PrivateDetail{holders, req.writes};
-      survivors.push_back(j);
-      out[item.origin] = {true, tx_id, ""};
-    }
-    // Stage D: one batched admission check across every transaction that
-    // survived dissemination, then enqueue in submission order. Batching
-    // at wave granularity — not per transaction — is what lets the RLC
-    // multi-exponentiation amortize.
-    std::vector<const ledger::Transaction*> wave_txs;
-    for (const std::size_t j : survivors) wave_txs.push_back(&items[j].tx);
-    admit_wave_to_mempool(wave_txs);
-    // Pin the wave's tokens while it drains: capacity eviction must not
-    // take validate-once entries out from under in-flight blocks.
-    std::vector<std::string> wave_pins;
-    for (const std::size_t j : survivors) {
-      const std::string id = items[j].tx.id();
-      mempool_.pin(id);
-      wave_pins.push_back(id);
-    }
-    for (const std::size_t j : survivors) {
-      const std::string tx_id = items[j].tx.id();
-      // Endorsed work re-offers as Commit class: it outranks fresh
-      // arrivals (wider CoDel target) but still sheds when the pending
-      // queue stays bad.
-      if (admission_control_) {
-        const common::SimTime now = network_->clock().now();
-        if (!admission_.offer(tx_id, ledger::AdmitPriority::Commit,
-                              items[j].tx.timestamp, now, pending_.size(),
-                              items[j].tx.deadline_us)) {
-          network_->count_shed();
-          mempool_.remove(tx_id, ledger::EvictionRecord::Cause::Expired, now);
-          nodes_.at(from).tm_store.erase(tx_id);
-          private_details_.erase(tx_id);
-          out[items[j].origin] = {false, tx_id,
-                                  "shed endorsed work at admission"};
-          continue;
-        }
-      }
-      pending_.push_back(std::move(items[j].tx));
-      if (pending_.size() >= block_size_) seal_block();
-    }
-    for (const std::string& id : wave_pins) mempool_.unpin(id);
+    commit_wave(from, items, out);
   }
   return out;
 }
@@ -331,13 +170,12 @@ TxResult QuorumNetwork::replay_private(const std::string& attacker,
   if (blob == node->second.tm_store.end()) {
     return {false, "", "attacker retains no payload for " + tx_id};
   }
-  const common::Bytes private_blob = blob->second;
 
   // The attacker's transaction manager holds the plaintext, so it can
   // recover the original writes and disseminate them to anyone.
   std::vector<ledger::KvWrite> writes;
   try {
-    common::Reader r(private_blob);
+    common::Reader r(blob->second);
     const std::uint64_t count = r.varint();
     for (std::uint64_t i = 0; i < count; ++i) {
       ledger::KvWrite kv;
@@ -350,164 +188,171 @@ TxResult QuorumNetwork::replay_private(const std::string& attacker,
     return {false, "", "retained payload undecodable"};
   }
 
-  ledger::Transaction tx;
+  // Same blob, same hash: the replayed transaction re-presents the
+  // original nullifier under a fresh transaction id.
+  std::vector<WaveItem> wave;
+  wave.push_back(private_item(attacker, recipients, writes, blob->second));
+  std::vector<TxResult> out(1);
+  commit_wave(attacker, wave, out);
+  return out[0];
+}
+
+QuorumNetwork::WaveItem QuorumNetwork::private_item(
+    const std::string& from, const std::set<std::string>& recipients,
+    const std::vector<ledger::KvWrite>& writes, common::Bytes blob) {
+  WaveItem item;
+  ledger::Transaction& tx = item.tx;
   tx.channel = "quorum";
   tx.contract = "evm";
   tx.action = "private";
-  tx.participants.push_back(attacker);
+  // DOCUMENTED FLAW: the participant list is public on the chain.
+  tx.participants.push_back(from);
   for (const std::string& r : recipients) tx.participants.push_back(r);
-  // Same blob, same hash: the replayed transaction re-presents the
-  // original nullifier under a fresh transaction id.
-  tx.payload = crypto::digest_bytes(crypto::sha256(private_blob));
-  tx.data_opaque = true;
+  tx.payload = crypto::digest_bytes(crypto::sha256(blob));
+  tx.data_opaque = true;  // chain carries hash only
   tx.timestamp = network_->clock().now();
   if (default_ttl_us_ != 0) tx.deadline_us = tx.timestamp + default_ttl_us_;
-  tx.endorse(attacker, node->second.keypair);
   ++private_count_;
-  return enqueue(std::move(tx), recipients, writes, private_blob);
+  // One transaction-manager nonce per recipient, drawn serially in sorted
+  // recipient order so the counter stream is the same at any thread count.
+  for (const std::string& holder : recipients) {
+    if (holder == from) continue;
+    common::Writer nonce;
+    nonce.u64(nonce_++);
+    common::Bytes nonce16 = nonce.take();
+    nonce16.resize(16, 0);
+    item.push_targets.push_back(holder);
+    item.nonces.push_back(std::move(nonce16));
+  }
+  item.sealed.resize(item.push_targets.size());
+  item.blob = std::move(blob);
+  item.recipients = recipients;
+  item.writes = writes;
+  return item;
 }
 
-TxResult QuorumNetwork::enqueue(ledger::Transaction tx,
-                                const std::set<std::string>& private_recipients,
-                                const std::vector<ledger::KvWrite>& private_writes,
-                                const common::Bytes& private_payload) {
-  const std::string tx_id = tx.id();
-  const std::string from = tx.participants.front();
-
-  if (tx.action == "private") {
-    // Transaction-manager dissemination (Tessera-style): the payload is
-    // sealed under a per-recipient pair key, pushed over the reliable
-    // channel, and opened at the recipient's transaction manager. This
-    // per-recipient crypto is what makes private transactions slower than
-    // public ones — the [5] performance result reproduced by
-    // bench_scalability_quorum.
-    auditor().record(from, "tx/" + tx_id + "/data", private_payload.size());
-    nodes_.at(from).tm_store[tx_id] = private_payload;
-    tm_acks_[tx_id] = {};
-    // The per-recipient key derivation + sealing fans out across the
-    // pool. Nonces are drawn serially first (recipients iterate in
-    // sorted order) so the counter stream is identical at any thread
-    // count; the sends stay serial in the same order.
-    std::vector<std::string> push_targets;
-    std::vector<common::Bytes> nonces;
-    for (const std::string& holder : private_recipients) {
-      if (holder == from) continue;
-      common::Writer nonce;
-      nonce.u64(nonce_++);
-      common::Bytes nonce16 = nonce.take();
-      nonce16.resize(16, 0);
-      push_targets.push_back(holder);
-      nonces.push_back(std::move(nonce16));
+void QuorumNetwork::commit_wave(const std::string& from,
+                                std::vector<WaveItem>& items,
+                                std::vector<TxResult>& out) {
+  // Stage B: endorsement signing and per-recipient transaction-manager
+  // sealing for the WHOLE wave run as pool tasks — both are pure
+  // (deterministic nonces, inputs fixed in stage A), so results are
+  // bit-identical at any thread count. The caller takes the last item
+  // itself instead of idling, so a wave of one never leaves its thread.
+  const crypto::KeyPair* keypair = &nodes_.at(from).keypair;
+  std::vector<std::future<void>> tasks;
+  for (WaveItem& item : items) {
+    WaveItem* it = &item;
+    std::function<void()> work = [it, from, keypair] {
+      it->tx.endorse(from, *keypair);
+      for (std::size_t r = 0; r < it->push_targets.size(); ++r) {
+        const common::Bytes pair_key = crypto::hkdf(
+            {}, common::to_bytes(from + "|" + it->push_targets[r]),
+            "quorum.tm.pair", 32);
+        it->sealed[r] = crypto::seal(pair_key, it->blob, it->nonces[r]);
+      }
+    };
+    if (it == &items.back()) {
+      work();
+      tasks.emplace_back();
+    } else {
+      tasks.push_back(common::ThreadPool::global().submit(std::move(work)));
     }
-    const auto sealed_payloads = common::ThreadPool::global().parallel_map(
-        push_targets.size(), [&](std::size_t i) {
-          const common::Bytes pair_key = crypto::hkdf(
-              {}, common::to_bytes(from + "|" + push_targets[i]),
-              "quorum.tm.pair", 32);
-          return crypto::seal(pair_key, private_payload, nonces[i]);
-        });
-    for (std::size_t i = 0; i < push_targets.size(); ++i) {
-      PrivateEnvelope env;
-      env.tx_id = tx_id;
-      env.sender = from;
-      env.sealed = sealed_payloads[i];
-      channel_.send(from, push_targets[i], "quorum.tm-push", env.encode());
-    }
-    network_->run();
-    std::size_t acked = 0;
-    for (const std::string& holder : private_recipients) {
-      if (holder == from || tm_acks_[tx_id].contains(holder)) ++acked;
-    }
-    tm_acks_.erase(tx_id);
-    if (acked < private_recipients.size()) {
-      // Fail closed: without every recipient's transaction manager
-      // confirming receipt, the hash must not reach the chain — a private
-      // transaction nobody can open is worse than no transaction.
-      nodes_.at(from).tm_store.erase(tx_id);
-      return {false, tx_id, "private payload dissemination incomplete"};
-    }
-    std::set<std::string> holders = private_recipients;
-    holders.insert(from);
-    private_details_[tx_id] = PrivateDetail{holders, private_writes};
   }
-
-  // ---- Overload gate -------------------------------------------------------
-  // Refusals after private dissemination tidy up the TM side: a payload
-  // whose hash never reaches the chain should not linger as an orphan.
-  const auto refuse = [&](std::string why) {
-    if (tx.action == "private") {
+  // Stage C (serial, submission order): private items go through
+  // transaction-manager dissemination (Tessera-style) — the sealed
+  // payload is pushed to each recipient over the reliable channel and
+  // opened at its transaction manager. While the first items round-trip
+  // their acks here, later items are still sealing in the pool. This
+  // per-recipient crypto is what makes private transactions slower than
+  // public ones — the [5] performance result reproduced by
+  // bench_scalability_quorum.
+  std::vector<WaveItem*> survivors;
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    if (tasks[j].valid()) tasks[j].get();
+    WaveItem& item = items[j];
+    item.tx_id = item.tx.id();
+    const std::string& tx_id = item.tx_id;
+    if (item.tx.action == "private") {
+      auditor().record(from, "tx/" + tx_id + "/data", item.blob.size());
+      nodes_.at(from).tm_store[tx_id] = item.blob;
+      tm_acks_[tx_id] = {};
+      for (std::size_t r = 0; r < item.push_targets.size(); ++r) {
+        PrivateEnvelope env;
+        env.tx_id = tx_id;
+        env.sender = from;
+        env.sealed = item.sealed[r];
+        channel_.send(from, item.push_targets[r], "quorum.tm-push",
+                      env.encode());
+      }
+      network_->run();
+      std::size_t acked = 0;
+      for (const std::string& holder : item.recipients) {
+        if (holder == from || tm_acks_[tx_id].contains(holder)) ++acked;
+      }
+      tm_acks_.erase(tx_id);
+      if (acked < item.recipients.size()) {
+        // Fail closed: without every recipient's transaction manager
+        // confirming receipt, the hash must not reach the chain — a
+        // private transaction nobody can open is worse than none.
+        nodes_.at(from).tm_store.erase(tx_id);
+        out[item.origin] = {false, tx_id,
+                            "private payload dissemination incomplete"};
+        continue;
+      }
+      std::set<std::string> holders = item.recipients;
+      holders.insert(from);
+      private_details_[tx_id] = PrivateDetail{holders, std::move(item.writes)};
+    }
+    survivors.push_back(&item);
+  }
+  // Stage D: one batched admission check across every survivor, then the
+  // overload gate and enqueue in submission order. Batching at wave
+  // granularity — not per transaction — is what lets the RLC
+  // multi-exponentiation amortize. Tokens stay pinned while the wave
+  // drains: capacity eviction must not take validate-once entries out
+  // from under in-flight blocks.
+  if (verify_commits_) {
+    std::vector<const ledger::Transaction*> txs;
+    for (const WaveItem* item : survivors) txs.push_back(&item->tx);
+    mempool_.admit_wave(txs, batch_verifier_, network_->clock().now());
+  }
+  for (const WaveItem* item : survivors) mempool_.pin(item->tx_id);
+  for (WaveItem* item : survivors) {
+    const std::string& tx_id = item->tx_id;
+    // Overload gate: deadline, then Fresh-class admission, then the
+    // pending bound. A refusal retires everything the item left behind —
+    // a payload whose hash never reaches the chain must not linger as an
+    // orphan in the transaction manager.
+    const common::SimTime now = network_->clock().now();
+    std::string refusal;
+    if (item->tx.deadline_us != 0 && now > item->tx.deadline_us) {
+      network_->count_expired(net::Stage::Endorse);
+      refusal = "expired before enqueue";
+    } else if (admission_control_ &&
+               !admission_.offer(tx_id, ledger::AdmitPriority::Fresh,
+                                 item->tx.timestamp, now, pending_.size(),
+                                 item->tx.deadline_us)) {
+      network_->count_shed();
+      refusal = "shed at admission (retry after " +
+                std::to_string(admission_.retry_after(now)) + "us)";
+    } else if (pending_capacity_ != 0 &&
+               pending_.size() >= pending_capacity_) {
+      network_->count_busy_rejected();
+      refusal = "busy: pending queue full";
+    }
+    if (!refusal.empty()) {
+      mempool_.remove(tx_id, ledger::EvictionRecord::Cause::Expired, now);
       nodes_.at(from).tm_store.erase(tx_id);
       private_details_.erase(tx_id);
+      out[item->origin] = {false, tx_id, std::move(refusal)};
+      continue;
     }
-    return TxResult{false, tx_id, std::move(why)};
-  };
-  const common::SimTime gate_now = network_->clock().now();
-  if (tx.deadline_us != 0 && gate_now > tx.deadline_us) {
-    network_->count_expired(net::Stage::Endorse);
-    return refuse("expired before enqueue");
+    out[item->origin] = {true, tx_id, ""};
+    pending_.push_back(std::move(item->tx));
+    if (pending_.size() >= block_size_) seal_block();
   }
-  if (admission_control_ &&
-      !admission_.offer(tx_id, ledger::AdmitPriority::Fresh, tx.timestamp,
-                        gate_now, pending_.size(), tx.deadline_us)) {
-    network_->count_shed();
-    return refuse("shed at admission (retry after " +
-                  std::to_string(admission_.retry_after(gate_now)) + "us)");
-  }
-  if (pending_capacity_ != 0 && pending_.size() >= pending_capacity_) {
-    network_->count_busy_rejected();
-    return refuse("busy: pending queue full");
-  }
-
-  admit_to_mempool(tx);
-  pending_.push_back(std::move(tx));
-  if (pending_.size() >= block_size_) seal_block();
-  return {true, tx_id, ""};
-}
-
-void QuorumNetwork::admit_to_mempool(const ledger::Transaction& tx) {
-  if (!verify_commits_) return;
-  bool verified;
-  if (batch_verify_) {
-    const crypto::Digest digest = tx.body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-    }
-    verified = batch_verifier_.pending() == 0 ||
-               batch_verifier_.verify().all_valid;
-  } else {
-    verified = tx.endorsements_valid(*group_);
-  }
-  mempool_.admit(tx, verified, network_->clock().now());
-}
-
-void QuorumNetwork::admit_wave_to_mempool(
-    const std::vector<const ledger::Transaction*>& txs) {
-  if (!verify_commits_) return;
-  const common::SimTime now = network_->clock().now();
-  if (!batch_verify_) {
-    for (const ledger::Transaction* tx : txs) {
-      mempool_.admit(*tx, tx->endorsements_valid(*group_), now);
-    }
-    return;
-  }
-  std::vector<std::size_t> queued;  // batch index -> txs index
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    const crypto::Digest digest = txs[i]->body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : txs[i]->endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-      queued.push_back(i);
-    }
-  }
-  std::vector<char> ok(txs.size(), 1);
-  if (batch_verifier_.pending() > 0) {
-    const crypto::BatchOutcome outcome = batch_verifier_.verify();
-    for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-  }
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    mempool_.admit(*txs[i], ok[i] != 0, now);
-  }
+  for (const WaveItem* item : survivors) mempool_.unpin(item->tx_id);
 }
 
 std::vector<char> QuorumNetwork::block_signatures_valid(
@@ -520,31 +365,16 @@ std::vector<char> QuorumNetwork::block_signatures_valid(
   // carry no read-set, so the token's version check is digest-only.
   const common::SimTime now = network_->clock().now();
   std::vector<std::size_t> misses;
+  std::vector<const ledger::Transaction*> miss_txs;
   for (std::size_t i = 0; i < block.transactions.size(); ++i) {
     if (replay || !mempool_.validated(block.transactions[i], state, now)) {
       misses.push_back(i);
+      miss_txs.push_back(&block.transactions[i]);
     }
   }
-  if (batch_verify_) {
-    std::vector<std::size_t> queued;  // batch index -> tx index
-    for (const std::size_t i : misses) {
-      const ledger::Transaction& tx = block.transactions[i];
-      const crypto::Digest digest = tx.body_digest();
-      const common::BytesView msg(digest.data(), digest.size());
-      for (const ledger::Endorsement& e : tx.endorsements) {
-        batch_verifier_.add_signature(e.key, msg, e.signature);
-        queued.push_back(i);
-      }
-    }
-    if (batch_verifier_.pending() > 0) {
-      const crypto::BatchOutcome outcome = batch_verifier_.verify();
-      for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-    }
-  } else {
-    for (const std::size_t i : misses) {
-      ok[i] = block.transactions[i].endorsements_valid(*group_) ? 1 : 0;
-    }
-  }
+  const std::vector<char> verdicts =
+      ledger::batch_endorsements_valid(batch_verifier_, miss_txs);
+  for (std::size_t k = 0; k < misses.size(); ++k) ok[misses[k]] = verdicts[k];
   return ok;
 }
 

@@ -66,7 +66,8 @@ class QuorumNetwork {
 
   void add_node(const std::string& org);
 
-  /// Public transaction: key/value writes visible to every node.
+  /// Public transaction: key/value writes visible to every node. Like
+  /// every entry point, it runs as a wave of one through commit_wave().
   TxResult submit_public(const std::string& from,
                          const std::vector<ledger::KvWrite>& writes);
 
@@ -93,7 +94,7 @@ class QuorumNetwork {
   /// earlier submissions are already disseminating and being sealed into
   /// blocks. Nonces are drawn serially up front, so the resulting
   /// transactions are byte-identical to serial submit_private() calls at
-  /// any thread count.
+  /// any wave size and thread count.
   std::vector<TxResult> submit_private_many(
       const std::string& from, const std::vector<PrivateSubmission>& batch,
       std::size_t pipeline_depth = 8);
@@ -104,9 +105,6 @@ class QuorumNetwork {
   /// endorsement signature at apply time, consulting the validate-once
   /// mempool token first; transactions failing verification are skipped.
   void set_verify_commits(bool on = true) { verify_commits_ = on; }
-  /// Route commit verification through the batched RLC kernel (default)
-  /// or the per-item path (differential testing).
-  void set_batch_verify(bool on = true) { batch_verify_ = on; }
 
   const ledger::Mempool& mempool() const { return mempool_; }
   const crypto::BatchVerifier::Stats& batch_verify_stats() const {
@@ -116,8 +114,12 @@ class QuorumNetwork {
   // ---- Overload tier (docs/fault_model.md "Overload tier") -----------------
 
   /// CoDel admission control in front of the pending queue (off until
-  /// configured). Fresh submissions are gated at enqueue; endorsed wave
-  /// work re-offers as Commit class in submit_private_many.
+  /// configured). Every submission meets one gate just before it is
+  /// enqueued, after signing and transaction-manager push: deadline
+  /// ("expired before enqueue"), one Fresh-class offer, then the pending
+  /// bound (busy). Quorum has no endorsement stage for a Commit class to
+  /// protect. A refused submission leaves no mempool token, no
+  /// transaction-manager entry and no private detail behind.
   void set_admission(ledger::AdmissionConfig config) {
     admission_ = ledger::AdmissionController(config);
     admission_control_ = true;
@@ -128,8 +130,9 @@ class QuorumNetwork {
     pending_capacity_ = capacity;
   }
   /// Default TTL stamped on submissions at build time (deadline =
-  /// timestamp + ttl; part of the signed body). Expired work is dropped
-  /// at enqueue and again when blocks are sealed. 0 = no deadline.
+  /// timestamp + ttl; part of the signed body). Expired work is refused
+  /// at the gate and dropped again when blocks are sealed. 0 = no
+  /// deadline.
   void set_default_ttl(common::SimTime ttl_us) { default_ttl_us_ = ttl_us; }
   /// Route the reliable channel's sends through a circuit breaker fed by
   /// delivery outcomes (acks close, exhausted retries open).
@@ -241,19 +244,34 @@ class QuorumNetwork {
     std::uint64_t blocks_applied = 0;
   };
 
-  TxResult enqueue(ledger::Transaction tx,
-                   const std::set<std::string>& private_recipients,
-                   const std::vector<ledger::KvWrite>& private_writes,
-                   const common::Bytes& private_payload);
-  /// Admission verification + token mint (no-op unless verify_commits_).
-  void admit_to_mempool(const ledger::Transaction& tx);
-  /// Wave admission for submit_private_many: one batched signature check
-  /// spanning every transaction in the wave (no-op unless
-  /// verify_commits_).
-  void admit_wave_to_mempool(const std::vector<const ledger::Transaction*>& txs);
+  /// One transaction in flight through the commit pipeline. Private items
+  /// also carry the transaction-manager payload and its pushes.
+  struct WaveItem {
+    std::size_t origin = 0;  // index into the caller's result vector
+    ledger::Transaction tx;
+    std::string tx_id;  // set once signed
+    common::Bytes blob;
+    std::set<std::string> recipients;
+    std::vector<ledger::KvWrite> writes;
+    std::vector<std::string> push_targets;
+    std::vector<common::Bytes> nonces;
+    std::vector<common::Bytes> sealed;  // filled in stage B
+  };
+  /// Stage A for a private item: the hash-on-chain transaction over
+  /// `blob`, plus one transaction-manager nonce per recipient.
+  WaveItem private_item(const std::string& from,
+                        const std::set<std::string>& recipients,
+                        const std::vector<ledger::KvWrite>& writes,
+                        common::Bytes blob);
+  /// Stages B-D for one wave from `from`: sign and seal in the pool,
+  /// transaction-manager push (private items), one batched admission,
+  /// then the overload gate and enqueue per item. Writes each item's
+  /// result to out[item.origin].
+  void commit_wave(const std::string& from, std::vector<WaveItem>& items,
+                   std::vector<TxResult>& out);
   /// Per-transaction signature validity for a block at apply time:
-  /// validate-once token hits skip verification, misses go through the
-  /// batched (or per-item) check. All-ones unless verify_commits_.
+  /// validate-once token hits skip verification, misses go through one
+  /// batched check. All-ones unless verify_commits_.
   std::vector<char> block_signatures_valid(const ledger::Block& block,
                                            const ledger::WorldState& state,
                                            bool replay);
@@ -313,7 +331,6 @@ class QuorumNetwork {
   std::uint64_t nonce_ = 0;
   bool detection_ = false;
   bool verify_commits_ = false;
-  bool batch_verify_ = true;
   /// Validate-once admission pool (volatile; cleared on any node crash).
   ledger::Mempool mempool_;
   // Overload tier: all volatile, never WAL-logged — refused work was

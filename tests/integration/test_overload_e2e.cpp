@@ -237,6 +237,40 @@ TEST(OverloadE2E, QuorumBoundedPendingRefusesBusyAndConverges) {
             rig.quorum.public_state("NodeC").digest());
 }
 
+TEST(OverloadE2E, QuorumWaveBoundedPendingRefusesBusy) {
+  QuorumRig rig(/*block_size=*/4);
+  rig.quorum.set_pending_capacity(2);
+
+  // The serial test above, as one wave: the batch path meets the same
+  // pending bound as serial callers.
+  std::vector<quorum::QuorumNetwork::PrivateSubmission> batch;
+  for (std::size_t i = 0; i < 5; ++i) {
+    batch.push_back({{"NodeB"},
+                     {{"asset/w" + std::to_string(i) + "/owner",
+                       to_bytes("NodeB")}},
+                     {}});
+  }
+  const auto results = rig.quorum.submit_private_many("NodeA", batch, 8);
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_TRUE(results[0].accepted) << results[0].reason;
+  EXPECT_TRUE(results[1].accepted) << results[1].reason;
+  for (std::size_t i = 2; i < 5; ++i) {
+    EXPECT_FALSE(results[i].accepted);
+    EXPECT_NE(results[i].reason.find("busy"), std::string::npos)
+        << results[i].reason;
+    // A refusal leaves no token and no sender-side payload behind.
+    EXPECT_EQ(rig.quorum.mempool().token(results[i].tx_id), nullptr);
+    EXPECT_FALSE(rig.quorum.private_payload("NodeA", results[i].tx_id));
+  }
+  EXPECT_EQ(rig.net.stats().busy_rejected, 3u);
+  EXPECT_EQ(rig.quorum.pending_depth(), 2u);
+
+  rig.quorum.seal_block();
+  EXPECT_EQ(rig.quorum.pending_depth(), 0u);
+  EXPECT_EQ(rig.quorum.public_state("NodeA").digest(),
+            rig.quorum.public_state("NodeC").digest());
+}
+
 TEST(OverloadE2E, QuorumTtlExpiresStaleWorkAtSealing) {
   QuorumRig rig(/*block_size=*/4);
   rig.quorum.set_default_ttl(50'000);
