@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.hpp"
+#include "crypto/group.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/montgomery.hpp"
 #include "crypto/paillier.hpp"
@@ -49,11 +50,15 @@ void BM_ModPow_2048(benchmark::State& state) {
 }
 BENCHMARK(BM_ModPow_2048)->Unit(benchmark::kMillisecond);
 
-// One 2048-bit Montgomery product (REDC), the inner-loop unit of every
-// exponentiation above.
+// One Montgomery product (REDC), the inner-loop unit of every
+// exponentiation above. Arg = modulus bits: 1024 is the production
+// default_group p that signatures, commitments and ZKPs run on; 2048 is
+// the RFC 3526 group 14 prime.
 void BM_MontgomeryMul(benchmark::State& state) {
   Rng rng(43);
-  const crypto::BigInt p = crypto::BigInt::from_hex(kRfc3526Group14P);
+  const crypto::BigInt p = state.range(0) == 1024
+                               ? crypto::Group::default_group().p()
+                               : crypto::BigInt::from_hex(kRfc3526Group14P);
   const auto ctx = crypto::MontgomeryCtx::create(p);
   const crypto::BigInt a = ctx->to_mont(crypto::BigInt::random_below(rng, p));
   const crypto::BigInt b = ctx->to_mont(crypto::BigInt::random_below(rng, p));
@@ -61,7 +66,7 @@ void BM_MontgomeryMul(benchmark::State& state) {
     benchmark::DoNotOptimize(ctx->mul(a, b));
   }
 }
-BENCHMARK(BM_MontgomeryMul);
+BENCHMARK(BM_MontgomeryMul)->Arg(1024)->Arg(2048);
 
 // Plain 2048x2048-bit multiply (Karatsuba above the limb threshold).
 void BM_BigIntMul_2048(benchmark::State& state) {

@@ -94,9 +94,10 @@ class BigInt {
   /// groups in group.hpp.
   static BigInt generate_safe_prime(common::Rng& rng, std::size_t bits);
 
-  /// Low-level limb access for the Montgomery/REDC kernels
-  /// (montgomery.cpp), which work on raw limbs to avoid per-step
-  /// allocation. Least-significant limb first, no trailing zeros.
+  /// Low-level limb access for the Montgomery kernel (montgomery.cpp),
+  /// which packs these into its own 64-bit residues, and for the
+  /// exponent digit scans of the exponentiation chains.
+  /// Least-significant limb first, no trailing zeros.
   const std::vector<std::uint32_t>& limbs() const { return limbs_; }
   /// Adopt a least-significant-first limb vector (trailing zeros allowed).
   static BigInt from_limbs(std::vector<std::uint32_t> limbs);

@@ -1,5 +1,7 @@
 #include "crypto/group.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "crypto/group_params.hpp"
 
@@ -7,35 +9,49 @@ namespace veil::crypto {
 
 FixedBaseTable::FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx,
                                BigInt base, std::size_t max_exp_bits)
-    : ctx_(std::move(ctx)), base_(std::move(base)) {
-  const std::size_t digits = (max_exp_bits + kWindowBits - 1) / kWindowBits;
-  windows_.resize(digits);
-  // cur = base^(16^i) in Montgomery form, advanced one window at a time.
-  BigInt cur = ctx_->to_mont(base_);
-  for (std::size_t i = 0; i < digits; ++i) {
-    windows_[i][0] = ctx_->one();
-    windows_[i][1] = cur;
-    for (std::size_t d = 2; d < windows_[i].size(); ++d) {
-      windows_[i][d] = ctx_->mul(windows_[i][d - 1], cur);
+    : ctx_(std::move(ctx)),
+      base_(std::move(base)),
+      digits_((max_exp_bits + kWindowBits - 1) / kWindowBits) {
+  const std::size_t k = ctx_->limbs();
+  windows_.resize(digits_ * 15 * k);
+  std::vector<MontgomeryCtx::Limb> scratch(ctx_->scratch_limbs());
+  MontgomeryCtx::Limb* entry = windows_.data();
+  for (std::size_t i = 0; i < digits_; ++i, entry += 15 * k) {
+    // Digit 1 is base^(16^i): the base itself for window 0, otherwise the
+    // previous window's digit-15 entry times its digit-1 entry.
+    if (i == 0) {
+      ctx_->to_mont(entry, base_, scratch.data());
+    } else {
+      ctx_->mul(entry, entry - k, entry - 15 * k, scratch.data());
     }
-    cur = ctx_->mul(windows_[i][15], cur);  // base^(16^(i+1))
+    for (std::size_t d = 1; d < 15; ++d) {
+      ctx_->mul(entry + d * k, entry + (d - 1) * k, entry, scratch.data());
+    }
   }
 }
 
 BigInt FixedBaseTable::pow(const BigInt& e) const {
-  if (e.bit_length() > windows_.size() * kWindowBits) {
+  if (e.bit_length() > digits_ * kWindowBits) {
     return ctx_->pow(base_, e);
   }
   // Product of one table entry per 4-bit exponent digit; no squarings.
-  BigInt acc = ctx_->one();
+  const std::size_t k = ctx_->limbs();
+  std::vector<MontgomeryCtx::Limb> ws(k + ctx_->scratch_limbs());
+  MontgomeryCtx::Limb* acc = ws.data();
+  MontgomeryCtx::Limb* scratch = acc + k;
+  std::copy(ctx_->one_limbs(), ctx_->one_limbs() + k, acc);
   const std::vector<std::uint32_t>& limbs = e.limbs();
   for (std::size_t i = 0; i < limbs.size(); ++i) {
     for (std::size_t j = 0; j < 8; ++j) {
       const std::uint32_t digit = (limbs[i] >> (4 * j)) & 0xf;
-      if (digit) acc = ctx_->mul(acc, windows_[i * 8 + j][digit]);
+      if (digit) {
+        const std::size_t window = i * 8 + j;
+        ctx_->mul(acc, acc, windows_.data() + (window * 15 + digit - 1) * k,
+                  scratch);
+      }
     }
   }
-  return ctx_->from_mont(acc);
+  return ctx_->from_mont(acc, scratch);
 }
 
 Group::Group(BigInt p, BigInt q, BigInt g, BigInt h)
@@ -109,7 +125,7 @@ BigInt Group::random_scalar(common::Rng& rng) const {
 
 bool Group::is_element(const BigInt& x) const {
   if (x.is_zero() || x >= p_) return false;
-  return x.mod_pow(q_, p_) == BigInt(1);
+  return pow(x, q_) == BigInt(1);
 }
 
 BigInt Group::hash_to_scalar(common::BytesView data) const {

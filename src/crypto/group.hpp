@@ -7,7 +7,6 @@
 // are compiled in, mirroring how production systems pin RFC 3526 groups.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,8 +39,11 @@ class FixedBaseTable {
   static constexpr std::size_t kWindowBits = 4;
   std::shared_ptr<const MontgomeryCtx> ctx_;
   BigInt base_;
-  // windows_[i][d] = base^(d * 16^i) in Montgomery form.
-  std::vector<std::array<BigInt, 16>> windows_;
+  std::size_t digits_ = 0;
+  // One flat [window][digit][limb] buffer: base^(d * 16^i) in Montgomery
+  // form for digits d = 1..15 (digit 0 is never multiplied in) at limb
+  // offset (i * 15 + d - 1) * k.
+  std::vector<MontgomeryCtx::Limb> windows_;
 };
 
 class Group {

@@ -1,7 +1,6 @@
 #include "crypto/multiexp.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/thread_pool.hpp"
 
@@ -24,40 +23,53 @@ std::uint32_t nibble(const BigInt& e, std::size_t j) {
 }  // namespace
 
 BigInt multi_exp(const MontgomeryCtx& ctx, const std::vector<ExpTerm>& terms) {
-  // Per-term digit tables: table[t][d] = base_t^d in Montgomery form.
   // Terms with a zero exponent contribute 1 and are skipped; a zero base
   // with a nonzero exponent zeroes the whole product.
-  std::vector<std::array<BigInt, 16>> tables(terms.size());
-  std::vector<char> active(terms.size(), 0);
+  std::vector<std::size_t> active;
   std::size_t max_digits = 0;
   for (std::size_t t = 0; t < terms.size(); ++t) {
     const std::size_t digits =
         (terms[t].exponent.bit_length() + kWindowBits - 1) / kWindowBits;
     if (digits == 0) continue;
     if (terms[t].base.is_zero()) return BigInt(0);
-    active[t] = 1;
-    if (digits > max_digits) max_digits = digits;
-    auto& table = tables[t];
-    table[1] = ctx.to_mont(terms[t].base);
-    for (std::size_t d = 2; d < 16; ++d) {
-      table[d] = ctx.mul(table[d - 1], table[1]);
+    active.push_back(t);
+    max_digits = std::max(max_digits, digits);
+  }
+
+  // One workspace for the chain: a flat [term][digit][limb] buffer with
+  // base^d in Montgomery form for d = 1..15 per active term, then the
+  // accumulator and the product scratch.
+  using Limb = MontgomeryCtx::Limb;
+  const std::size_t k = ctx.limbs();
+  const std::size_t stride = 15 * k;
+  std::vector<Limb> ws(active.size() * stride + k + ctx.scratch_limbs());
+  Limb* acc = ws.data() + active.size() * stride;
+  Limb* scratch = acc + k;
+  for (std::size_t a = 0; a < active.size(); ++a) {
+    Limb* table = ws.data() + a * stride;
+    ctx.to_mont(table, terms[active[a]].base, scratch);
+    for (std::size_t d = 1; d < 15; ++d) {
+      ctx.mul(table + d * k, table + (d - 1) * k, table, scratch);
     }
   }
 
   // One shared squaring chain, most-significant digit first; every term
   // folds its digit into the accumulator between squarings.
-  BigInt acc = ctx.one();
+  std::copy(ctx.one_limbs(), ctx.one_limbs() + k, acc);
   for (std::size_t j = max_digits; j-- > 0;) {
     if (j + 1 != max_digits) {
-      for (std::size_t s = 0; s < kWindowBits; ++s) acc = ctx.sqr(acc);
+      for (std::size_t s = 0; s < kWindowBits; ++s) {
+        ctx.mul(acc, acc, acc, scratch);
+      }
     }
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      if (!active[t]) continue;
-      const std::uint32_t d = nibble(terms[t].exponent, j);
-      if (d != 0) acc = ctx.mul(acc, tables[t][d]);
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      const std::uint32_t d = nibble(terms[active[a]].exponent, j);
+      if (d != 0) {
+        ctx.mul(acc, acc, ws.data() + a * stride + (d - 1) * k, scratch);
+      }
     }
   }
-  return ctx.from_mont(acc);
+  return ctx.from_mont(acc, scratch);
 }
 
 BigInt multi_exp_parallel(const MontgomeryCtx& ctx,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "crypto/group.hpp"
 
@@ -46,31 +49,100 @@ TEST(Montgomery, DomainRoundTrip) {
   }
 }
 
+// The kernel works in 64-bit limbs, so R = 2^(64 * ceil(c / 2)) for a
+// modulus of c 32-bit limbs: odd c leaves a half-empty top limb. Every
+// limb count is checked against plain BigInt arithmetic, on random
+// moduli, on n = 2^(32c) - 1 and on moduli with an all-ones top limb
+// (the t[k+1] carry and the final subtraction), with the edge operands
+// 0, 1 and n-1 next to random ones.
 TEST(Montgomery, MulMatchesModularProduct) {
   common::Rng rng(2);
-  for (std::size_t bits : {16u, 96u, 512u, 2048u}) {
+  for (std::size_t c = 1; c <= 64; ++c) {
+    const BigInt r = BigInt(1) << (64 * ((c + 1) / 2));
+    const BigInt all_ones = (BigInt(1) << (32 * c)) - BigInt(1);
+    const BigInt low = BigInt(1) << (32 * (c - 1));
+    const BigInt top_ones = (BigInt(0xffffffffu) << (32 * (c - 1))) +
+                            BigInt::random_below(rng, low);
+    const BigInt random = BigInt::random_bits(rng, 32 * c);
+    for (BigInt n : {all_ones, top_ones, random}) {
+      if (!n.is_odd()) n += BigInt(1);
+      if (n == BigInt(1)) n = BigInt(3);
+      const auto ctx = MontgomeryCtx::create(n);
+      ASSERT_NE(ctx, nullptr) << c;
+      std::vector<BigInt> operands = {BigInt(0), BigInt(1), n - BigInt(1)};
+      for (int i = 0; i < 3; ++i) {
+        operands.push_back(BigInt::random_below(rng, n));
+      }
+      // 3 divides 2^(32c) - 1: a zero-divisor pair whose raw product must
+      // reduce to 0, never to n.
+      if (n == all_ones && n > BigInt(3)) {
+        operands.push_back(BigInt(3));
+        operands.push_back(n / BigInt(3));
+      }
+      for (const BigInt& a : operands) {
+        // mul(x, one()) == x for any residue x.
+        EXPECT_EQ(ctx->mul(a, ctx->one()), a) << c;
+        for (const BigInt& b : operands) {
+          // The raw product is a*b*R^-1 mod n, fully reduced.
+          const BigInt raw = ctx->mul(a, b);
+          EXPECT_LT(raw, n) << c;
+          EXPECT_EQ((raw * r) % n, (a * b) % n) << c;
+          // And through the domain conversions it is the plain product.
+          EXPECT_EQ(ctx->from_mont(ctx->mul(ctx->to_mont(a), ctx->to_mont(b))),
+                    (a * b) % n)
+              << c;
+        }
+      }
+    }
+  }
+}
+
+// Exponentiation chains multiply into their own accumulator, so the
+// limb-level product must allow out to alias either input, or both.
+TEST(Montgomery, LimbProductAllowsAliasing) {
+  common::Rng rng(6);
+  for (std::size_t bits : {30u, 64u, 97u, 1024u, 2048u}) {
     BigInt n = BigInt::random_bits(rng, bits);
     if (!n.is_odd()) n += BigInt(1);
     const auto ctx = MontgomeryCtx::create(n);
-    for (int i = 0; i < 10; ++i) {
-      const BigInt a = BigInt::random_below(rng, n);
-      const BigInt b = BigInt::random_below(rng, n);
-      const BigInt got =
-          ctx->from_mont(ctx->mul(ctx->to_mont(a), ctx->to_mont(b)));
-      EXPECT_EQ(got, (a * b) % n) << bits;
+    ASSERT_NE(ctx, nullptr);
+    const std::size_t k = ctx->limbs();
+    std::vector<MontgomeryCtx::Limb> a(k), b(k), out(k),
+        scratch(ctx->scratch_limbs());
+    for (int i = 0; i < 5; ++i) {
+      const BigInt x = BigInt::random_below(rng, n);
+      const BigInt y = BigInt::random_below(rng, n);
+      // out aliases a.
+      ctx->to_mont(a.data(), x, scratch.data());
+      ctx->to_mont(b.data(), y, scratch.data());
+      ctx->mul(a.data(), a.data(), b.data(), scratch.data());
+      EXPECT_EQ(ctx->from_mont(a.data(), scratch.data()), (x * y) % n) << bits;
+      // out aliases b.
+      ctx->to_mont(a.data(), x, scratch.data());
+      ctx->mul(b.data(), a.data(), b.data(), scratch.data());
+      EXPECT_EQ(ctx->from_mont(b.data(), scratch.data()), (x * y) % n) << bits;
+      // a == b == out: in-place squaring, against a separate output.
+      ctx->mul(out.data(), a.data(), a.data(), scratch.data());
+      ctx->mul(a.data(), a.data(), a.data(), scratch.data());
+      EXPECT_EQ(a, out) << bits;
+      EXPECT_EQ(ctx->from_mont(a.data(), scratch.data()), (x * x) % n) << bits;
     }
   }
 }
 
 TEST(Montgomery, PowMatchesNaiveReference) {
   common::Rng rng(3);
-  for (std::size_t bits : {9u, 33u, 160u, 768u}) {
+  // {modulus bits, largest exponent bits}; the 4096-bit case keeps its
+  // exponents short so the naive reference stays fast.
+  const std::vector<std::pair<std::size_t, std::size_t>> cases = {
+      {9, 9}, {33, 33}, {160, 160}, {768, 768}, {4096, 512}};
+  for (const auto& [bits, exp_bits] : cases) {
     BigInt n = BigInt::random_bits(rng, bits);
     if (!n.is_odd()) n += BigInt(1);
     const auto ctx = MontgomeryCtx::create(n);
     for (int i = 0; i < 5; ++i) {
       const BigInt base = BigInt::random_bits(rng, bits + 11);
-      const BigInt exp = BigInt::random_bits(rng, 1 + rng.next_below(bits));
+      const BigInt exp = BigInt::random_bits(rng, 1 + rng.next_below(exp_bits));
       EXPECT_EQ(ctx->pow(base, exp), naive_mod_pow(base, exp, n)) << bits;
     }
   }
@@ -113,6 +185,16 @@ TEST(FixedBaseTable, MatchesGenericPow) {
   // Exponents wider than the table fall back to the generic path.
   const BigInt wide = BigInt::random_bits(rng, group.q().bit_length() + 64);
   EXPECT_EQ(table.pow(wide), ctx->pow(group.g(), wide));
+
+  // A 4096-bit modulus, against the naive reference.
+  BigInt n = BigInt::random_bits(rng, 4096);
+  if (!n.is_odd()) n += BigInt(1);
+  const BigInt base = BigInt::random_below(rng, n);
+  const FixedBaseTable big(MontgomeryCtx::create(n), base, 512);
+  for (int i = 0; i < 3; ++i) {
+    const BigInt e = BigInt::random_bits(rng, 1 + rng.next_below(512));
+    EXPECT_EQ(big.pow(e), naive_mod_pow(base, e, n));
+  }
 }
 
 TEST(FixedBaseTable, GroupGeneratorsRouteThroughTables) {
