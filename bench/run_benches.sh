@@ -126,6 +126,9 @@ ctx.update({
     # batching; the batch>=32, 8-thread Validate rows are the >=5x target.
     "bench_commit": {
         "validation_modes": modes,
+        "batch_verify_kernel_args":
+            "items, batched (0 per-item verify, 1 BatchVerifier), "
+            "group (0 test_group 512/160, 1 default_group 1024/256)",
         "seed_baseline_commits_per_s": {"fabric_validate_serial": 9000}},
     "bench_overload": {
         "offered_mult_encoding":

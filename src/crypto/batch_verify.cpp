@@ -13,12 +13,21 @@ bool BatchVerifier::is_member_cached(const BigInt& x) {
   const auto it = member_cache_.find(x);
   if (it != member_cache_.end()) {
     ++stats_.key_cache_hits;
-    return it->second;
+    return it->second.member;
   }
   ++stats_.key_cache_misses;
-  const bool member = group_->is_element(x);
-  member_cache_.emplace(x, member);
-  return member;
+  KeyMemo memo{group_->is_element(x), nullptr};
+  if (memo.member && stats_.key_tables < kMaxKeyTables) {
+    memo.table = std::make_shared<const FixedBaseTable>(
+        group_->mont(), x, group_->q().bit_length() + 1);
+    ++stats_.key_tables;
+  }
+  return member_cache_.emplace(x, std::move(memo)).first->second.member;
+}
+
+const FixedBaseTable* BatchVerifier::key_table(const BigInt& base) const {
+  const auto it = member_cache_.find(base);
+  return it == member_cache_.end() ? nullptr : it->second.table.get();
 }
 
 std::size_t BatchVerifier::add_signature(const PublicKey& pub,
@@ -69,7 +78,12 @@ std::size_t BatchVerifier::add_dlog(const BigInt& base, const BigInt& y,
 
 bool BatchVerifier::verify_single(const Item& item) const {
   if (item.is_sig) {
-    return crypto::verify(*group_, item.pub, item.message, item.sig);
+    // Only items that passed the pre-checks get here, so the key is a
+    // memoized member; the equation and hash binding run exactly.
+    const auto memo = member_cache_.find(item.y);
+    if (memo == member_cache_.end() || !memo->second.member) return false;
+    return verify_member_key(*group_, item.pub, item.message, item.sig,
+                             memo->second.table.get());
   }
   return verify_dlog(*group_, item.base, item.y, item.proof, item.context);
 }
@@ -81,8 +95,9 @@ bool BatchVerifier::rlc_check(const std::vector<std::size_t>& indices,
   // Fresh odd 64-bit randomizers per evaluation (odd kills the order-2
   // cofactor escape; see header). Repeated bases — endorser keys recur
   // across every wave — merge into a single term with their weighted
-  // exponents summed mod q: the regrouping is exact arithmetic, and the
-  // mod-q reduction is sound because every merged base passed the
+  // exponents summed: the regrouping is exact arithmetic. The sums stay
+  // unreduced while they accumulate and each is reduced mod q once
+  // before use, which is sound because every merged base passed the
   // order-q membership pre-check. Commitment terms are NOT merged and
   // keep their raw 64-bit z: the parity argument above needs the
   // unreduced odd exponent on each transmitted R.
@@ -93,47 +108,61 @@ bool BatchVerifier::rlc_check(const std::vector<std::size_t>& indices,
   for (const std::size_t i : indices) {
     const Item& item = items_[i];
     const BigInt z(rng_.next_u64() | 1);
-    const BigInt za = (z * item.a) % q;
-    const BigInt zb = (z * item.b) % q;
+    const BigInt za = z * item.a;
+    const BigInt zb = z * item.b;
     if (item.is_sig) {
       // g^{z·s} · y^{z·e} on the left, R^{z} on the right.
-      g_exp = (g_exp + za) % q;
-      BigInt& y_acc = lhs_merged[item.y];
-      y_acc = (y_acc + zb) % q;
+      g_exp += za;
+      lhs_merged[item.y] += zb;
     } else {
       // base^{z·s} on the left, t^{z} · y^{z·c} on the right.
       if (item.base == group_->g()) {
-        g_exp = (g_exp + za) % q;
+        g_exp += za;
       } else if (item.base == group_->h()) {
-        h_exp = (h_exp + za) % q;
+        h_exp += za;
       } else {
-        BigInt& base_acc = lhs_merged[item.base];
-        base_acc = (base_acc + za) % q;
+        lhs_merged[item.base] += za;
       }
-      BigInt& y_acc = rhs_merged[item.y];
-      y_acc = (y_acc + zb) % q;
+      rhs_merged[item.y] += zb;
     }
     rhs.push_back({item.t, z});
   }
+  const MontgomeryCtx& ctx = *group_->mont();
+  // A merged base with a key table is evaluated through it; the rest go
+  // into the side's multi-exponentiation. Table factors are kept in
+  // Montgomery form until the end.
+  const auto split = [&](const std::map<BigInt, BigInt>& merged,
+                         std::vector<ExpTerm>& terms, BigInt& tabled) {
+    for (const auto& [base, sum] : merged) {
+      BigInt exp = sum % q;
+      if (exp.is_zero()) continue;
+      if (const FixedBaseTable* table = key_table(base)) {
+        tabled = ctx.mul(tabled, ctx.to_mont(table->pow(exp)));
+      } else {
+        terms.push_back({base, std::move(exp)});
+      }
+    }
+  };
   std::vector<ExpTerm> lhs;
   lhs.reserve(lhs_merged.size());
-  for (const auto& [base, exp] : lhs_merged) {
-    if (!exp.is_zero()) lhs.push_back({base, exp});
+  BigInt left_tabled = ctx.one(), right_tabled = ctx.one();
+  split(lhs_merged, lhs, left_tabled);
+  split(rhs_merged, rhs, right_tabled);
+  // The generator exponents ride the group's own tables.
+  g_exp %= q;
+  h_exp %= q;
+  if (!g_exp.is_zero()) {
+    left_tabled = ctx.mul(left_tabled, ctx.to_mont(group_->pow_g(g_exp)));
   }
-  for (const auto& [base, exp] : rhs_merged) {
-    if (!exp.is_zero()) rhs.push_back({base, exp});
+  if (!h_exp.is_zero()) {
+    left_tabled = ctx.mul(left_tabled, ctx.to_mont(group_->pow_h(h_exp)));
   }
-  const MontgomeryCtx& ctx = *group_->mont();
-  // After merging, lhs holds one term per distinct key — the parallel
-  // path degrades to the serial one there. rhs holds one commitment term
-  // per item and dominates; chunking it across the pool is exact
-  // regrouping, so the verdict is bit-identical at every thread count.
-  BigInt left = multi_exp_parallel(ctx, lhs);
-  // The accumulated generator exponents ride the fixed-base tables — one
-  // multiply per digit, no squarings at all.
-  if (!g_exp.is_zero()) left = group_->mul(left, group_->pow_g(g_exp));
-  if (!h_exp.is_zero()) left = group_->mul(left, group_->pow_h(h_exp));
-  const BigInt right = multi_exp_parallel(ctx, rhs);
+  // lhs holds one term per distinct untabled key — the parallel path
+  // degrades to the serial one there. rhs holds one commitment term per
+  // item and dominates; chunking it across the pool is exact regrouping,
+  // so the verdict is bit-identical at every thread count.
+  const BigInt left = ctx.mul(left_tabled, multi_exp_parallel(ctx, lhs));
+  const BigInt right = ctx.mul(right_tabled, multi_exp_parallel(ctx, rhs));
   return left == right;
 }
 
@@ -165,7 +194,11 @@ BatchOutcome BatchVerifier::verify() {
       live.push_back(i);
     }
   }
-  if (!live.empty()) {
+  if (live.size() == 1) {
+    // A batch of one takes the exact leaf: with memoized membership and
+    // the key's table it is cheaper than the RLC's two multi-exps.
+    collect_invalid(live, outcome);
+  } else if (!live.empty()) {
     if (!rlc_check(live, outcome)) {
       const std::size_t before = outcome.invalid.size();
       ++outcome.bisect_steps;

@@ -33,10 +33,20 @@
 //    verify()/verify_dlog(). Accept/reject per item is therefore always
 //    exact — a convicted index is proof-grade (it feeds the Evidence
 //    path) and Detect mode loses nothing.
+//  * A batch of one never runs the RLC: it goes straight to the exact
+//    singleton leaf, which is both cheaper and at least as strict. It
+//    draws no randomizer, so the batches after it see a shifted stream;
+//    their verdicts are exact either way.
+//  * A public key found to be a member gets a FixedBaseTable (up to
+//    kMaxKeyTables per verifier), and every term whose base has one is
+//    evaluated through it instead of inside the multi-exponentiation. A
+//    table computes the same power, so this is exact arithmetic and no
+//    verdict changes.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -64,6 +74,13 @@ class BatchVerifier {
   /// seed and the same call history produce identical outcomes.
   BatchVerifier(const Group& group, std::uint64_t seed);
 
+  /// Most key tables one verifier builds (each is 2 x 255 residues, 64 KB
+  /// on a 1024-bit p). Slots go to the first member keys seen and are
+  /// never freed; membership is checked before the signature, so keys
+  /// that only ever carry forgeries can take them too. Keys past the cap
+  /// keep the generic path: slower, with the same verdicts.
+  static constexpr std::size_t kMaxKeyTables = 8;
+
   /// Queue one Schnorr signature check (same semantics as verify()).
   /// Returns the item's index within the pending batch.
   std::size_t add_signature(const PublicKey& pub, common::BytesView message,
@@ -86,6 +103,7 @@ class BatchVerifier {
     std::uint64_t rejected_items = 0;
     std::uint64_t key_cache_hits = 0;
     std::uint64_t key_cache_misses = 0;
+    std::uint64_t key_tables = 0;  // FixedBaseTables built for keys
 
     bool operator==(const Stats&) const = default;
   };
@@ -110,7 +128,16 @@ class BatchVerifier {
     common::Bytes context;
   };
 
+  // What the verifier remembers about a public key: its subgroup
+  // membership and, for a member within the cap, its fixed-base table.
+  struct KeyMemo {
+    bool member = false;
+    std::shared_ptr<const FixedBaseTable> table;
+  };
+
   bool is_member_cached(const BigInt& x);
+  /// The table for `base`, or nullptr when it has none.
+  const FixedBaseTable* key_table(const BigInt& base) const;
   bool verify_single(const Item& item) const;
   /// RLC identity over items_[indices]; true = batch passes.
   bool rlc_check(const std::vector<std::size_t>& indices,
@@ -121,10 +148,10 @@ class BatchVerifier {
   const Group* group_;
   common::Rng rng_;
   std::vector<Item> items_;
-  // Memoized subgroup-membership results keyed by element value. Endorser
-  // and notary keys recur across every block, so after warm-up the
-  // membership pow is paid once per distinct key, not once per signature.
-  std::map<BigInt, bool> member_cache_;
+  // Keyed by element value. Endorser and notary keys recur across every
+  // block, so after warm-up the membership pow is paid once per distinct
+  // key, not once per signature, and its powers come from a table.
+  std::map<BigInt, KeyMemo> member_cache_;
   Stats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "crypto/group.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "crypto/group_params.hpp"
@@ -11,43 +12,75 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx,
                                BigInt base, std::size_t max_exp_bits)
     : ctx_(std::move(ctx)),
       base_(std::move(base)),
-      digits_((max_exp_bits + kWindowBits - 1) / kWindowBits) {
+      bits_(max_exp_bits),
+      row_bits_(std::max<std::size_t>(1, (max_exp_bits + kRows - 1) / kRows)),
+      col_bits_((row_bits_ + kBlocks - 1) / kBlocks) {
   const std::size_t k = ctx_->limbs();
-  windows_.resize(digits_ * 15 * k);
-  std::vector<MontgomeryCtx::Limb> scratch(ctx_->scratch_limbs());
-  MontgomeryCtx::Limb* entry = windows_.data();
-  for (std::size_t i = 0; i < digits_; ++i, entry += 15 * k) {
-    // Digit 1 is base^(16^i): the base itself for window 0, otherwise the
-    // previous window's digit-15 entry times its digit-1 entry.
-    if (i == 0) {
-      ctx_->to_mont(entry, base_, scratch.data());
-    } else {
-      ctx_->mul(entry, entry - k, entry - 15 * k, scratch.data());
+  combs_.resize(kBlocks * kEntries * k);
+  std::vector<MontgomeryCtx::Limb> ws(k + ctx_->scratch_limbs());
+  MontgomeryCtx::Limb* x = ws.data();
+  MontgomeryCtx::Limb* scratch = x + k;
+  // One squaring chain walks x = base^(2^(i·a + j·b)) through every row
+  // and block start; each lands as the single-row pattern u = 2^i.
+  ctx_->to_mont(x, base_, scratch);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 0; j < kBlocks; ++j) {
+      MontgomeryCtx::Limb* entry =
+          combs_.data() + (j * kEntries + (std::size_t{1} << i) - 1) * k;
+      std::copy(x, x + k, entry);
+      if (i + 1 == kRows && j + 1 == kBlocks) break;
+      const std::size_t next =
+          j + 1 < kBlocks ? col_bits_ : row_bits_ - j * col_bits_;
+      for (std::size_t s = 0; s < next; ++s) ctx_->mul(x, x, x, scratch);
     }
-    for (std::size_t d = 1; d < 15; ++d) {
-      ctx_->mul(entry + d * k, entry + (d - 1) * k, entry, scratch.data());
+  }
+  // Every other pattern is its lower rows' entry times its top row's.
+  for (std::size_t j = 0; j < kBlocks; ++j) {
+    MontgomeryCtx::Limb* block = combs_.data() + j * kEntries * k;
+    for (std::size_t u = 3; u <= kEntries; ++u) {
+      const std::size_t top = std::size_t{1} << (std::bit_width(u) - 1);
+      if (u == top) continue;
+      ctx_->mul(block + (u - 1) * k, block + (u - top - 1) * k,
+                block + (top - 1) * k, scratch);
     }
   }
 }
 
 BigInt FixedBaseTable::pow(const BigInt& e) const {
-  if (e.bit_length() > digits_ * kWindowBits) {
+  if (e.bit_length() > bits_) {
     return ctx_->pow(base_, e);
   }
-  // Product of one table entry per 4-bit exponent digit; no squarings.
+  const std::vector<std::uint32_t>& limbs = e.limbs();
+  const auto bit = [&](std::size_t pos) -> std::size_t {
+    const std::size_t limb = pos / 32;
+    return limb < limbs.size() ? (limbs[limb] >> (pos % 32)) & 1 : 0;
+  };
   const std::size_t k = ctx_->limbs();
   std::vector<MontgomeryCtx::Limb> ws(k + ctx_->scratch_limbs());
   MontgomeryCtx::Limb* acc = ws.data();
   MontgomeryCtx::Limb* scratch = acc + k;
   std::copy(ctx_->one_limbs(), ctx_->one_limbs() + k, acc);
-  const std::vector<std::uint32_t>& limbs = e.limbs();
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::uint32_t digit = (limbs[i] >> (4 * j)) & 0xf;
-      if (digit) {
-        const std::size_t window = i * 8 + j;
-        ctx_->mul(acc, acc, windows_.data() + (window * 15 + digit - 1) * k,
-                  scratch);
+  // Column c of every block, most significant first: square once, then
+  // multiply in each block's entry for the column's bit pattern. Nothing
+  // is squared until the first entry lands.
+  bool started = false;
+  for (std::size_t c = col_bits_; c-- > 0;) {
+    if (started) ctx_->mul(acc, acc, acc, scratch);
+    for (std::size_t j = 0; j < kBlocks; ++j) {
+      const std::size_t col = j * col_bits_ + c;
+      if (col >= row_bits_) continue;
+      std::size_t u = 0;
+      for (std::size_t i = 0; i < kRows; ++i) {
+        u |= bit(i * row_bits_ + col) << i;
+      }
+      if (u == 0) continue;
+      const MontgomeryCtx::Limb* entry =
+          combs_.data() + (j * kEntries + u - 1) * k;
+      if (started) {
+        ctx_->mul(acc, acc, entry, scratch);
+      } else {
+        std::copy(entry, entry + k, acc);
+        started = true;
       }
     }
   }

@@ -18,12 +18,17 @@
 
 namespace veil::crypto {
 
-/// Precomputed powers of a fixed base modulo an odd n, for the
-/// repeated-generator exponentiations that dominate Pedersen commitments,
-/// Schnorr signing, ElGamal keygen and the ZKP prover/verifier: with
-/// base^(d·16^i) tabulated for every 4-bit digit position, an
-/// exponentiation costs one Montgomery multiply per digit and no
-/// squarings at all.
+/// Precomputed powers of a fixed base modulo an odd n, for the bases that
+/// recur: the generators g and h (Pedersen commitments, Schnorr signing,
+/// ElGamal keygen, the ZKP prover/verifier) and the recurring public keys
+/// a BatchVerifier sees. The layout is a Lim-Lee comb with kRows = 8 rows
+/// and kBlocks = 2 blocks: the exponent's bits are laid out as an 8-row
+/// matrix of a = ceil(bits/8) columns, each row split into two blocks of
+/// b = ceil(a/2) columns, and block j tabulates base^(Σ u_i·2^(i·a+j·b))
+/// for every nonzero 8-bit column pattern u. An exponentiation reads one
+/// column per block per step, so it costs b-1 squarings plus at most
+/// 2·b products: ~16 + 33 for a 257-bit exponent, two tables of 255
+/// entries (64 KB on a 1024-bit modulus).
 class FixedBaseTable {
  public:
   /// Tabulates powers covering exponents up to `max_exp_bits` bits;
@@ -36,14 +41,18 @@ class FixedBaseTable {
   const BigInt& base() const { return base_; }
 
  private:
-  static constexpr std::size_t kWindowBits = 4;
+  static constexpr std::size_t kRows = 8;
+  static constexpr std::size_t kBlocks = 2;
+  static constexpr std::size_t kEntries = (std::size_t{1} << kRows) - 1;
   std::shared_ptr<const MontgomeryCtx> ctx_;
   BigInt base_;
-  std::size_t digits_ = 0;
-  // One flat [window][digit][limb] buffer: base^(d * 16^i) in Montgomery
-  // form for digits d = 1..15 (digit 0 is never multiplied in) at limb
-  // offset (i * 15 + d - 1) * k.
-  std::vector<MontgomeryCtx::Limb> windows_;
+  std::size_t bits_ = 0;      // widest exponent the comb serves
+  std::size_t row_bits_ = 0;  // a: exponent bits per row
+  std::size_t col_bits_ = 0;  // b: columns per block
+  // One flat [block][pattern][limb] buffer: block j, nonzero column
+  // pattern u (bit i = row i) at limb offset (j * kEntries + u - 1) * k
+  // holds base^(Σ_i u_i · 2^(i·a + j·b)) in Montgomery form.
+  std::vector<MontgomeryCtx::Limb> combs_;
 };
 
 class Group {

@@ -73,6 +73,14 @@ class KeyPair {
 bool verify(const Group& group, const PublicKey& pub,
             common::BytesView message, const Signature& sig);
 
+/// verify() without the subgroup-membership pow, for a key the caller has
+/// already found to be a member (BatchVerifier memoizes membership). Every
+/// other check is the same. `key_table`, when not null, is a
+/// FixedBaseTable for pub.y and computes y^e in place of the generic pow.
+bool verify_member_key(const Group& group, const PublicKey& pub,
+                       common::BytesView message, const Signature& sig,
+                       const FixedBaseTable* key_table);
+
 /// The Fiat-Shamir challenge e = H(R || y || m) used by sign/verify.
 /// Exposed so blind-issuance protocols (pki/idemix) can compute the same
 /// challenge over a blinded commitment.

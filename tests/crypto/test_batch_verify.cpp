@@ -216,27 +216,42 @@ TEST_F(BatchVerifyTest, CancellationPairConvicted) {
 
 // ---- determinism -----------------------------------------------------------
 
+// A history that mixes singleton batches (exact leaf, no randomizer drawn)
+// with multi-item ones (RLC, bisection on a forgery) replays bit for bit.
 TEST_F(BatchVerifyTest, SameSeedSameHistorySameOutcome) {
   BatchVerifier a(group_, 99);
   BatchVerifier b(group_, 99);
   const KeyPair key = KeyPair::generate(group_, rng_);
-  std::vector<common::Bytes> msgs;
-  std::vector<Signature> sigs;
-  for (int i = 0; i < 32; ++i) {
-    msgs.push_back(rng_.next_bytes(16));
-    sigs.push_back(key.sign(msgs.back()));
+  const KeyPair other = KeyPair::generate(group_, rng_);
+  std::size_t n = 0;
+  for (const std::size_t size : {32u, 1u, 1u, 5u, 1u, 17u, 1u, 2u}) {
+    std::vector<common::Bytes> msgs;
+    std::vector<Signature> sigs;
+    for (std::size_t i = 0; i < size; ++i, ++n) {
+      const KeyPair& signer = (n % 3 == 0) ? other : key;
+      msgs.push_back(rng_.next_bytes(16));
+      sigs.push_back(signer.sign(msgs.back()));
+      if (n % 11 == 2) sigs[i].response = (sigs[i].response + 1) % group_.q();
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      const KeyPair& signer = ((n - size + i) % 3 == 0) ? other : key;
+      a.add_signature(signer.public_key(), msgs[i], sigs[i]);
+      b.add_signature(signer.public_key(), msgs[i], sigs[i]);
+    }
+    const BatchOutcome oa = a.verify();
+    const BatchOutcome ob = b.verify();
+    EXPECT_EQ(oa.invalid, ob.invalid) << "batch of " << size;
+    EXPECT_EQ(oa.batch_checks, ob.batch_checks);
+    EXPECT_EQ(oa.bisect_steps, ob.bisect_steps);
+    EXPECT_EQ(oa.single_fallbacks, ob.single_fallbacks);
+    if (size == 1) {
+      // A batch of one is the exact check, never the RLC.
+      EXPECT_EQ(oa.batch_checks, 0u);
+      EXPECT_EQ(oa.single_fallbacks, 1u);
+    }
   }
-  sigs[13].response = (sigs[13].response + 1) % group_.q();
-  for (int i = 0; i < 32; ++i) {
-    a.add_signature(key.public_key(), msgs[i], sigs[i]);
-    b.add_signature(key.public_key(), msgs[i], sigs[i]);
-  }
-  const BatchOutcome oa = a.verify();
-  const BatchOutcome ob = b.verify();
-  EXPECT_EQ(oa.invalid, ob.invalid);
-  EXPECT_EQ(oa.batch_checks, ob.batch_checks);
-  EXPECT_EQ(oa.bisect_steps, ob.bisect_steps);
-  EXPECT_EQ(oa.single_fallbacks, ob.single_fallbacks);
+  EXPECT_EQ(a.stats(), b.stats());
+  EXPECT_GT(a.stats().rejected_items, 0u);
 }
 
 TEST_F(BatchVerifyTest, DifferentSeedsAgreeOnVerdict) {
@@ -279,6 +294,81 @@ TEST_F(BatchVerifyTest, BatchMatchesPerItemReference) {
   std::vector<bool> batched(40, true);
   for (const std::size_t i : outcome.invalid) batched[i] = false;
   EXPECT_EQ(batched, reference);
+}
+
+// ---- key tables --------------------------------------------------------------
+
+// Key tables change how a recurring key's powers are computed, never a
+// verdict. Batches mix keys seen once, keys seen many times, a key
+// outside the order-q subgroup, forged responses and a cancellation pair;
+// the convicted set must equal what per-item verify() rejects, for
+// batches of one (exact leaf) and of 2 to 64 (RLC over key tables). Keys
+// come past the cap too, so tabled and untabled keys share batches.
+TEST_F(BatchVerifyTest, KeyTablesMatchPerItemVerify) {
+  BatchVerifier verifier(group_, 12);
+  const std::vector<KeyPair> recurring = {KeyPair::generate(group_, rng_),
+                                          KeyPair::generate(group_, rng_),
+                                          KeyPair::generate(group_, rng_)};
+  // p - 1 has order 2, so it is not in the order-q subgroup.
+  const PublicKey non_member{group_.p() - BigInt(1)};
+  const BigInt delta = 4321;
+  std::size_t batch = 0;
+  for (const std::size_t size :
+       {1u, 1u, 1u, 1u, 1u, 2u, 3u, 5u, 8u, 13u, 1u, 1u, 21u, 34u, 64u}) {
+    std::vector<bool> reference;
+    for (std::size_t i = 0; i < size; ++i) {
+      const common::Bytes msg = rng_.next_bytes(16);
+      const std::size_t kind = (i + batch) % 5;
+      const KeyPair signer = kind == 1
+                                 ? KeyPair::generate(group_, rng_)
+                                 : recurring[(i + batch) % recurring.size()];
+      PublicKey pub = signer.public_key();
+      Signature sig = signer.sign(msg);
+      if (kind == 2) sig.response = (sig.response + 1) % group_.q();
+      if (kind == 3) pub = non_member;
+      if (size >= 4 && i == 1) {
+        sig.response = (sig.response + delta) % group_.q();
+      } else if (size >= 4 && i == size - 2) {
+        sig.response = (sig.response + group_.q() - delta) % group_.q();
+      }
+      reference.push_back(verify(group_, pub, msg, sig));
+      verifier.add_signature(pub, msg, sig);
+    }
+    const BatchOutcome outcome = verifier.verify();
+    std::vector<bool> batched(size, true);
+    for (const std::size_t i : outcome.invalid) batched[i] = false;
+    EXPECT_EQ(batched, reference) << "batch " << batch << " of " << size;
+    ++batch;
+  }
+  // The one-shot keys fill the cap, so later keys take the generic path.
+  EXPECT_EQ(verifier.stats().key_tables, BatchVerifier::kMaxKeyTables);
+}
+
+// Member keys whose signatures are all forged take the table slots first;
+// no further table is built past the cap, and every verdict, for honest
+// keys without a table and for the forgeries, stays exact.
+TEST_F(BatchVerifyTest, KeyTablesStopAtCap) {
+  BatchVerifier verifier(group_, 13);
+  const std::size_t keys = 3 * BatchVerifier::kMaxKeyTables;
+  for (std::size_t i = 0; i < keys; ++i) {
+    const KeyPair key = KeyPair::generate(group_, rng_);
+    const common::Bytes msg = rng_.next_bytes(16);
+    Signature sig = key.sign(msg);
+    sig.response = (sig.response + 1) % group_.q();
+    verifier.add_signature(key.public_key(), msg, sig);
+  }
+  EXPECT_EQ(verifier.verify().invalid.size(), keys);
+  EXPECT_EQ(verifier.stats().key_tables, BatchVerifier::kMaxKeyTables);
+
+  const KeyPair honest = KeyPair::generate(group_, rng_);
+  for (const std::size_t size : {1u, 6u}) {
+    for (std::size_t i = 0; i < size; ++i) {
+      const common::Bytes msg = rng_.next_bytes(16);
+      verifier.add_signature(honest.public_key(), msg, honest.sign(msg));
+    }
+    EXPECT_TRUE(verifier.verify().all_valid) << "batch of " << size;
+  }
+  EXPECT_EQ(verifier.stats().key_tables, BatchVerifier::kMaxKeyTables);
 }
 
 // ---- wire format of the commitment-bearing signature -----------------------

@@ -171,22 +171,52 @@ TEST(Montgomery, SharedCacheReturnsSameContext) {
   EXPECT_EQ(a->modulus(), n);
 }
 
+// The exponent whose comb column `col` is set in every one of the 8 rows
+// (row i holds bits [i·a, (i+1)·a), a = ceil(bits/8)): it reads the
+// all-ones pattern of its block.
+BigInt comb_column(std::size_t bits, std::size_t col) {
+  const std::size_t row_bits = (bits + 7) / 8;
+  BigInt e(0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (i * row_bits + col < bits) e += BigInt(1) << (i * row_bits + col);
+  }
+  return e;
+}
+
 TEST(FixedBaseTable, MatchesGenericPow) {
   common::Rng rng(4);
-  const Group& group = Group::test_group();
-  const auto ctx = MontgomeryCtx::create(group.p());
-  const FixedBaseTable table(ctx, group.g(), group.q().bit_length() + 1);
-  for (int i = 0; i < 20; ++i) {
-    const BigInt e = BigInt::random_below(rng, group.q());
-    EXPECT_EQ(table.pow(e), ctx->pow(group.g(), e));
+  for (const Group* group : {&Group::test_group(), &Group::default_group()}) {
+    const auto ctx = MontgomeryCtx::create(group->p());
+    const BigInt& q = group->q();
+    const std::size_t bits = q.bit_length() + 1;
+    const std::size_t row_bits = (bits + 7) / 8;
+    const std::vector<BigInt> bases = {
+        group->g(), group->hash_to_element(common::to_bytes("comb base"))};
+    for (const BigInt& base : bases) {
+      const FixedBaseTable table(ctx, base, bits);
+      std::vector<BigInt> exps = {BigInt(0), BigInt(1), q - BigInt(1), q,
+                                  (BigInt(1) << bits) - BigInt(1)};
+      for (const std::size_t col : {std::size_t{0}, row_bits / 2,
+                                    (row_bits + 1) / 2, row_bits - 1}) {
+        exps.push_back(comb_column(bits, col));
+      }
+      for (int i = 0; i < 8; ++i) exps.push_back(BigInt::random_below(rng, q));
+      // Wider than the table: 2^bits is one bit over, 2^(8a) is past every
+      // comb row, and the random one is far past; all take the fallback.
+      exps.push_back(BigInt(1) << bits);
+      exps.push_back((BigInt(1) << (8 * row_bits)) + BigInt(1));
+      exps.push_back(BigInt::random_bits(rng, bits + 64));
+      for (const BigInt& e : exps) {
+        EXPECT_EQ(table.pow(e), ctx->pow(base, e))
+            << q.bit_length() << "-bit q, e = " << e.to_hex();
+      }
+      EXPECT_EQ(table.pow(BigInt(0)), BigInt(1));
+      EXPECT_EQ(table.pow(BigInt(1)), base);
+    }
   }
-  EXPECT_EQ(table.pow(BigInt(0)), BigInt(1));
-  EXPECT_EQ(table.pow(BigInt(1)), group.g());
-  // Exponents wider than the table fall back to the generic path.
-  const BigInt wide = BigInt::random_bits(rng, group.q().bit_length() + 64);
-  EXPECT_EQ(table.pow(wide), ctx->pow(group.g(), wide));
 
-  // A 4096-bit modulus, against the naive reference.
+  // A 4096-bit modulus with exponents up to 512 bits, against the naive
+  // reference.
   BigInt n = BigInt::random_bits(rng, 4096);
   if (!n.is_odd()) n += BigInt(1);
   const BigInt base = BigInt::random_below(rng, n);
@@ -195,6 +225,8 @@ TEST(FixedBaseTable, MatchesGenericPow) {
     const BigInt e = BigInt::random_bits(rng, 1 + rng.next_below(512));
     EXPECT_EQ(big.pow(e), naive_mod_pow(base, e, n));
   }
+  EXPECT_EQ(big.pow(comb_column(512, 63)),
+            naive_mod_pow(base, comb_column(512, 63), n));
 }
 
 TEST(FixedBaseTable, GroupGeneratorsRouteThroughTables) {
